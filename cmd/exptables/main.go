@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,19 +53,44 @@ var experiments = []experiment{
 		exp.AblationMessageLoss, nil},
 }
 
+// errBadFlags marks a parse failure the FlagSet has already reported to
+// stderr, so main must not print it again.
+var errBadFlags = errors.New("invalid command line")
+
 func main() {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil:
+	case errors.Is(err, flag.ErrHelp): // -h: usage printed, success
+	case errors.Is(err, errBadFlags):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run executes the command: tables and figures go to out, wall-clock
+// timings to errOut, so out is byte-identical for every worker count.
+func run(args []string, out, errOut io.Writer) error {
+	fs := flag.NewFlagSet("exptables", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	var (
-		which   = flag.String("exp", "all", "experiment id: 1,2,3,4,a1..a5 or all (comma-separated)")
-		scale   = flag.String("scale", "quick", "quick or paper")
-		reps    = flag.Int("reps", 0, "override repetitions per cell")
-		seed    = flag.Uint64("seed", 1, "base seed")
-		outDir  = flag.String("out", "", "directory for TSV series files (empty = skip)")
-		noAscii = flag.Bool("no-ascii", false, "suppress ASCII figures")
-		funcsCS = flag.String("funcs", "", "comma-separated function subset (default: paper suite)")
-		workers = flag.Int("workers", 0, "worker goroutines running repetitions (0 = NumCPU)")
-		engineW = flag.Int("engineworkers", 1, "per-repetition engine workers for the propose phase (results are identical for any value)")
+		which   = fs.String("exp", "all", "experiment id: 1,2,3,4,a1..a5 or all (comma-separated)")
+		scale   = fs.String("scale", "quick", "quick or paper")
+		reps    = fs.Int("reps", 0, "override repetitions per cell")
+		seed    = fs.Uint64("seed", 1, "base seed")
+		outDir  = fs.String("out", "", "directory for TSV series files (empty = skip)")
+		noAscii = fs.Bool("no-ascii", false, "suppress ASCII figures")
+		funcsCS = fs.String("funcs", "", "comma-separated function subset (default: paper suite)")
+		workers = fs.Int("workers", 0, "worker goroutines running repetitions (0 = NumCPU)")
+		engineW = fs.Int("engineworkers", 1, "per-repetition engine workers for the propose phase (results are identical for any value)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errBadFlags
+	}
 
 	var spec exp.Spec
 	quick := *scale != "paper"
@@ -77,16 +104,15 @@ func main() {
 		spec.Reps = *reps
 	}
 	if *funcsCS != "" {
-		var fs []gossipopt.Function
+		var fns []gossipopt.Function
 		for _, name := range strings.Split(*funcsCS, ",") {
 			f, err := gossipopt.FunctionByName(strings.TrimSpace(name))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return err
 			}
-			fs = append(fs, f)
+			fns = append(fns, f)
 		}
-		spec.Funcs = fs
+		spec.Funcs = fns
 	}
 
 	ids := map[string]bool{}
@@ -102,8 +128,7 @@ func main() {
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 
@@ -115,16 +140,17 @@ func main() {
 		for i := range cells {
 			cells[i].Workers = *engineW
 		}
-		fmt.Printf("\n########## %s ##########\n", e.title)
-		fmt.Printf("# %d cells x %d reps (scale=%s, seed=%d)\n", len(cells), spec.Reps, *scale, *seed)
+		fmt.Fprintf(out, "\n########## %s ##########\n", e.title)
+		fmt.Fprintf(out, "# %d cells x %d reps (scale=%s, seed=%d)\n", len(cells), spec.Reps, *scale, *seed)
 		start := time.Now()
 		runner := &exp.Runner{Reps: spec.Reps, BaseSeed: spec.Seed, Workers: *workers}
 		report := &exp.Report{Title: e.title, Results: runner.Sweep(cells)}
-		fmt.Printf("# completed in %v\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(errOut, "# %s completed in %v\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(out)
 
-		fmt.Println(report.Table())
+		fmt.Fprintln(out, report.Table())
 
-		fmt.Println("Per-function best rows (the paper's table format):")
+		fmt.Fprintln(out, "Per-function best rows (the paper's table format):")
 		for _, row := range report.BestRows() {
 			metric := row.Quality
 			unit := "quality"
@@ -132,7 +158,7 @@ func main() {
 				metric = row.Time
 				unit = "time"
 			}
-			fmt.Printf("  %-12s %-8s avg=%-12.5g min=%-12.5g max=%-12.5g var=%-12.5g (%s)\n",
+			fmt.Fprintf(out, "  %-12s %-8s avg=%-12.5g min=%-12.5g max=%-12.5g var=%-12.5g (%s)\n",
 				row.Cell.Function.Name, unit, metric.Avg, metric.Min, metric.Max, metric.Var,
 				row.Cell.Label())
 		}
@@ -141,21 +167,21 @@ func main() {
 			charts := e.figs(report)
 			for _, ch := range charts {
 				if !*noAscii {
-					fmt.Println()
-					fmt.Println(ch.ASCII(72, 18))
+					fmt.Fprintln(out)
+					fmt.Fprintln(out, ch.ASCII(72, 18))
 				}
 				if *outDir != "" {
 					name := sanitize(ch.Title) + ".tsv"
 					path := filepath.Join(*outDir, name)
 					if err := os.WriteFile(path, []byte(ch.TSV()), 0o644); err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
+						return err
 					}
-					fmt.Printf("# wrote %s\n", path)
+					fmt.Fprintf(out, "# wrote %s\n", path)
 				}
 			}
 		}
 	}
+	return nil
 }
 
 func sanitize(s string) string {

@@ -1,6 +1,29 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestQuickGolden pins the exact stdout of every experiment at quick scale
+// on one function and one repetition: any drift in cell construction,
+// seeding, aggregation or table rendering fails here. Wall-clock timings go
+// to stderr, so stdout is byte-identical across runs and worker counts.
+func TestQuickGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "quick-sphere.golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-exp", "all", "-scale", "quick", "-funcs", "Sphere", "-reps", "1", "-no-ascii"}, &out, &errOut); err != nil {
+		t.Fatalf("%v\n%s", err, errOut.String())
+	}
+	if out.String() != string(golden) {
+		t.Fatalf("exptables output drifted from golden file:\n--- got ---\n%s--- want ---\n%s", out.String(), golden)
+	}
+}
 
 func TestSanitize(t *testing.T) {
 	cases := map[string]string{
