@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -65,5 +66,59 @@ func TestSolversByNameMixed(t *testing.T) {
 	}
 	if _, err := SolversByName([]string{"pso", "nope"}, 4); err == nil {
 		t.Fatal("bad name inside list accepted")
+	}
+}
+
+// TestInjectRejectsNaN: a NaN fitness offered through Inject — which any
+// gossip peer can send — is never adopted, neither over a real best nor as
+// the first best of a fresh solver, and it does not block a later, better
+// point (NaN compares false, so an adopted NaN would accept anything).
+func TestInjectRejectsNaN(t *testing.T) {
+	const dim = 4
+	point := func(v float64) []float64 {
+		x := make([]float64, dim)
+		for i := range x {
+			x[i] = v
+		}
+		return x
+	}
+	for _, name := range SolverNames() {
+		t.Run(name, func(t *testing.T) {
+			mk, err := SolverByName(name, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := mk(funcs.Sphere, dim, 0, rng.New(1))
+			if fresh.Inject(point(1), math.NaN()) {
+				t.Fatal("fresh solver adopted a NaN fitness")
+			}
+			if !fresh.Inject(point(1), funcs.Sphere.Eval(point(1))) {
+				t.Fatal("fresh solver refused a real point after a NaN offer")
+			}
+
+			s := mk(funcs.Sphere, dim, 0, rng.New(2))
+			for i := 0; i < 64; i++ {
+				s.EvalOne()
+			}
+			_, before := s.Best()
+			if before <= 0 || math.IsNaN(before) {
+				t.Fatalf("unexpected best %v after 64 evaluations", before)
+			}
+			if s.Inject(point(3), math.NaN()) {
+				t.Fatal("NaN fitness adopted over a real best")
+			}
+			if _, f := s.Best(); f != before {
+				t.Fatalf("best moved from %v to %v on a NaN offer", before, f)
+			}
+			if s.Inject(point(5), 1e300) {
+				t.Fatal("a far worse point was adopted after a NaN offer")
+			}
+			if !s.Inject(point(0), 0) {
+				t.Fatal("a better point was refused after a NaN offer")
+			}
+			if _, f := s.Best(); f != 0 {
+				t.Fatalf("best = %v after injecting the optimum, want 0", f)
+			}
+		})
 	}
 }

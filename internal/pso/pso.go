@@ -228,13 +228,15 @@ func (s *Swarm) Evals() int64 { return s.evals }
 func (s *Swarm) Best() ([]float64, float64) { return s.g, s.fg }
 
 // Inject offers a remote best (the coordination service's gossip payload).
-// It is adopted as the swarm optimum when strictly better; it reports
-// whether adoption happened. The position is copied into the swarm-owned
+// It is adopted as the swarm optimum when strictly better; a NaN fitness
+// is never adopted, not even by a swarm with no optimum yet, since NaN
+// would compare false against every later point. It reports whether
+// adoption happened. The position is copied into the swarm-owned
 // buffer in place — gossip hands a node many adoptions per run, and a
 // fresh clone per adoption was a measurable share of steady-state
 // allocations at large populations.
 func (s *Swarm) Inject(x []float64, fx float64) bool {
-	if s.g != nil && fx >= s.fg {
+	if math.IsNaN(fx) || (s.g != nil && fx >= s.fg) {
 		return false
 	}
 	if len(x) != s.dim {

@@ -65,7 +65,9 @@ type best struct {
 func newBest() best { return best{f: math.Inf(1)} }
 
 func (b *best) offer(x []float64, f float64) bool {
-	if f >= b.f {
+	// NaN compares false against everything: adopted once, it would
+	// replace a real best and then let any later point through.
+	if math.IsNaN(f) || f >= b.f {
 		return false
 	}
 	if b.x == nil || len(b.x) != len(x) {
