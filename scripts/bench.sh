@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the engine-scale benchmark suite (million-node stack, apply-shard
 # scaling, hotspot sharding, live-node sampling) and records the parsed
-# results as JSON in BENCH_10.json, alongside the machine context needed
+# results as JSON in the next unused BENCH_<n>.json, alongside the machine context needed
 # to read the numbers honestly — CPU count and GOMAXPROCS lead the record
 # because worker speedups only show in wall-clock with real cores; on a
 # single-CPU host the record carries a machine-readable "warning" field
@@ -14,11 +14,30 @@
 # Overrides:
 #   ENGINE_BENCH_NODES  population for BenchmarkEngineMillion (default 1e6)
 #   BENCHTIME           go test -benchtime value (default 2x)
-#   BENCH_OUT           output path (default BENCH_10.json)
+#   BENCH_OUT           output path (default: BENCH_<n>.json with n one past
+#                       the highest existing record)
+#
+# An existing record is never overwritten: the script refuses before
+# running anything.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${BENCH_OUT:-BENCH_10.json}
+if [ -n "${BENCH_OUT:-}" ]; then
+    OUT=$BENCH_OUT
+else
+    last=0
+    for f in BENCH_*.json; do
+        n=${f#BENCH_}
+        n=${n%.json}
+        case $n in '' | *[!0-9]*) continue ;; esac
+        if [ "$((10#$n))" -gt "$last" ]; then last=$((10#$n)); fi
+    done
+    OUT=BENCH_$((last + 1)).json
+fi
+if [ -e "$OUT" ]; then
+    echo "bench.sh: $OUT exists; refusing to overwrite it (set BENCH_OUT to a new path)" >&2
+    exit 1
+fi
 NODES=${ENGINE_BENCH_NODES:-1000000}
 BENCHTIME=${BENCHTIME:-2x}
 CPUS=$(nproc)
