@@ -1,10 +1,11 @@
-// Benchmarks regenerating the paper's tables and figures at reduced scale,
-// plus microbenchmarks of the framework's hot paths. Every BenchmarkFigure*
-// / BenchmarkTable* target runs the corresponding experiment's sweep shape
-// (smaller grids, 1 repetition per b.N iteration) and reports the measured
-// solution quality / time as custom benchmark metrics, so `go test -bench`
-// output directly exhibits the reproduced trends. For full-size runs use
-// cmd/exptables.
+// Benchmarks of the paper's experiments at reduced scale, the declarative
+// layer and the engine, plus microbenchmarks of the framework's hot paths.
+// Every BenchmarkFigure* and BenchmarkAblation* target runs cells of the
+// matching cmd/exptables sweep (smaller grids) as scenario campaigns, one
+// repetition per b.N, and reports the mean final quality and run length —
+// and, for time-to-quality cells, the share of runs that reached the
+// target — as custom metrics, so `go test -bench` output shows the
+// reproduced trends. For full-size tables and figures use cmd/exptables.
 package gossipopt_test
 
 import (
@@ -23,23 +24,46 @@ import (
 	"gossipopt/internal/sim"
 )
 
-// benchCell runs one experiment cell once per iteration and reports the
-// average quality (or time) as a benchmark metric.
-func benchCell(b *testing.B, c exp.Cell) {
+// unbounded is a stop.cycles and metrics_every value no paper cell
+// reaches: its budget or quality target ends the run, sampled once.
+const unbounded = 1 << 53
+
+// paperCell is one experiment cell as a scenario: n nodes of k particles
+// gossiping every r local evaluations (r < 0: never) on f, stopped by stop.
+func paperCell(f string, n, k, r int, stop scenario.Stop) scenario.Spec {
+	stop.Cycles = unbounded
+	return scenario.Spec{
+		Name:         fmt.Sprintf("%s/n=%d/k=%d/r=%d", f, n, k, r),
+		Nodes:        n,
+		Stack:        scenario.Stack{Function: f, Particles: k, GossipEvery: r},
+		MetricsEvery: unbounded,
+		Stop:         stop,
+	}
+}
+
+// budget stops a cell after e network-wide evaluations.
+func budget(e int64) scenario.Stop { return scenario.Stop{MaxEvals: e} }
+
+// benchCell runs b.N repetitions of one cell as a campaign and reports the
+// mean quality and cycles (plus the reached share for a threshold cell).
+func benchCell(b *testing.B, s scenario.Spec) {
 	b.Helper()
+	sums, err := scenario.Run(s, scenario.Options{Reps: b.N, BaseSeed: 1}, exp.DiscardSink{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var qSum, tSum float64
 	reached := 0
-	for i := 0; i < b.N; i++ {
-		res := exp.RunRep(c, uint64(i)+1)
-		qSum += res.Quality
-		tSum += float64(res.Cycles)
-		if res.Reached {
+	for _, sum := range sums {
+		qSum += sum.Quality
+		tSum += float64(sum.Cycles)
+		if sum.Reached {
 			reached++
 		}
 	}
 	b.ReportMetric(qSum/float64(b.N), "quality")
 	b.ReportMetric(tSum/float64(b.N), "cycles")
-	if c.Threshold >= 0 {
+	if s.Stop.Quality != nil {
 		b.ReportMetric(float64(reached)/float64(b.N), "reached")
 	}
 }
@@ -50,11 +74,8 @@ func BenchmarkFigure1(b *testing.B) {
 	for _, f := range funcs.PaperSuite {
 		for _, n := range []int{1, 10, 100} {
 			for _, k := range []int{1, 8, 32} {
-				c := exp.Cell{Function: f, N: n, K: k, R: k,
-					Budget: int64(n) * 1000, Threshold: -1}
-				b.Run(fmt.Sprintf("%s/n=%d/k=%d", f.Name, n, k), func(b *testing.B) {
-					benchCell(b, c)
-				})
+				s := paperCell(f.Name, n, k, k, budget(int64(n)*1000))
+				b.Run(fmt.Sprintf("%s/n=%d/k=%d", f.Name, n, k), func(b *testing.B) { benchCell(b, s) })
 			}
 		}
 	}
@@ -66,11 +87,8 @@ func BenchmarkFigure2(b *testing.B) {
 	for _, f := range funcs.PaperSuite {
 		for _, n := range []int{1, 16, 256} {
 			for _, k := range []int{1, 16} {
-				c := exp.Cell{Function: f, N: n, K: k, R: k,
-					Budget: 1 << 15, Threshold: -1}
-				b.Run(fmt.Sprintf("%s/n=%d/k=%d", f.Name, n, k), func(b *testing.B) {
-					benchCell(b, c)
-				})
+				s := paperCell(f.Name, n, k, k, budget(1<<15))
+				b.Run(fmt.Sprintf("%s/n=%d/k=%d", f.Name, n, k), func(b *testing.B) { benchCell(b, s) })
 			}
 		}
 	}
@@ -81,11 +99,8 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkFigure3(b *testing.B) {
 	for _, f := range funcs.PaperSuite {
 		for _, r := range []int{2, 16, 64} {
-			c := exp.Cell{Function: f, N: 100, K: 16, R: r,
-				Budget: 100 * 1000, Threshold: -1}
-			b.Run(fmt.Sprintf("%s/r=%d", f.Name, r), func(b *testing.B) {
-				benchCell(b, c)
-			})
+			s := paperCell(f.Name, 100, 16, r, budget(100*1000))
+			b.Run(fmt.Sprintf("%s/r=%d", f.Name, r), func(b *testing.B) { benchCell(b, s) })
 		}
 	}
 }
@@ -95,13 +110,11 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	// Griewank is censored in the paper too; keep the cap small so the
 	// benchmark terminates quickly when the threshold is unreachable.
+	threshold := 1e-10
 	for _, f := range funcs.PaperSuite {
 		for _, n := range []int{1, 8, 64} {
-			c := exp.Cell{Function: f, N: n, K: 8, R: 8,
-				Threshold: 1e-10, MaxEvals: 1 << 17}
-			b.Run(fmt.Sprintf("%s/n=%d", f.Name, n), func(b *testing.B) {
-				benchCell(b, c)
-			})
+			s := paperCell(f.Name, n, 8, 8, scenario.Stop{Quality: &threshold, MaxEvals: 1 << 17})
+			b.Run(fmt.Sprintf("%s/n=%d", f.Name, n), func(b *testing.B) { benchCell(b, s) })
 		}
 	}
 }
@@ -109,54 +122,51 @@ func BenchmarkFigure4(b *testing.B) {
 // --- Ablations ---
 
 func BenchmarkAblationNoGossip(b *testing.B) {
-	for _, coord := range []bool{true, false} {
+	for _, r := range []int{16, -1} {
 		name := "gossip"
-		if !coord {
+		if r < 0 {
 			name = "isolated"
 		}
-		c := exp.Cell{Function: funcs.Rastrigin, N: 50, K: 16, R: 16,
-			Budget: 50 * 1000, Threshold: -1, NoCoordination: !coord}
-		b.Run(name, func(b *testing.B) { benchCell(b, c) })
+		s := paperCell("Rastrigin", 50, 16, r, budget(50*1000))
+		b.Run(name, func(b *testing.B) { benchCell(b, s) })
 	}
 }
 
 func BenchmarkAblationTopology(b *testing.B) {
-	for _, topo := range []gossipopt.TopologyKind{
-		gossipopt.TopoNewscast, gossipopt.TopoRandom, gossipopt.TopoRing, gossipopt.TopoStar,
-	} {
-		c := exp.Cell{Function: funcs.Sphere, N: 64, K: 16, R: 16,
-			Budget: 64 * 1000, Threshold: -1, Topology: topo}
-		b.Run(topo.String(), func(b *testing.B) { benchCell(b, c) })
+	for _, topo := range []string{"newscast", "random", "ring", "star"} {
+		s := paperCell("Sphere", 64, 16, 16, budget(64*1000))
+		s.Stack.Topology = topo
+		b.Run(topo, func(b *testing.B) { benchCell(b, s) })
 	}
 }
 
 func BenchmarkAblationChurn(b *testing.B) {
 	for _, frac := range []float64{0, 0.5} {
-		frac := frac
-		c := exp.Cell{Function: funcs.Sphere, N: 64, K: 16, R: 16,
-			Budget: 64 * 1000, Threshold: -1}
+		s := paperCell("Sphere", 64, 16, 16, budget(64*1000))
 		if frac > 0 {
-			c.Churn = func() sim.ChurnModel {
-				return &sim.CatastropheChurn{AtCycle: 250, Fraction: frac}
-			}
+			s.Timeline = []scenario.Event{{At: 250, Action: "crash", Fraction: frac}}
 		}
-		b.Run(fmt.Sprintf("crash=%.0f%%", frac*100), func(b *testing.B) { benchCell(b, c) })
+		b.Run(fmt.Sprintf("crash=%.0f%%", frac*100), func(b *testing.B) { benchCell(b, s) })
 	}
 }
 
 func BenchmarkAblationMixedSolvers(b *testing.B) {
-	spec := exp.Spec{Funcs: []funcs.Function{funcs.Rastrigin}, Reps: 1, BudgetPerNode: 1000}
-	for _, c := range gossipopt.AblationMixedSolvers(spec, true) {
-		c := c
-		b.Run(c.Tag, func(b *testing.B) { benchCell(b, c) })
+	for _, solvers := range [][]string{{"pso"}, {"de"}, {"es"}, {"pso", "de", "es"}} {
+		s := paperCell("Rastrigin", 32, 16, 16, budget(32*1000))
+		s.Stack.Solvers = solvers
+		name := "solver=mixed"
+		if len(solvers) == 1 {
+			name = "solver=" + solvers[0]
+		}
+		b.Run(name, func(b *testing.B) { benchCell(b, s) })
 	}
 }
 
 func BenchmarkAblationMessageLoss(b *testing.B) {
 	for _, p := range []float64{0, 0.5, 0.9} {
-		c := exp.Cell{Function: funcs.Sphere, N: 32, K: 16, R: 16,
-			Budget: 32 * 1000, Threshold: -1, DropProb: p}
-		b.Run(fmt.Sprintf("loss=%.0f%%", p*100), func(b *testing.B) { benchCell(b, c) })
+		s := paperCell("Sphere", 32, 16, 16, budget(32*1000))
+		s.Stack.DropProb = p
+		b.Run(fmt.Sprintf("loss=%.0f%%", p*100), func(b *testing.B) { benchCell(b, s) })
 	}
 }
 

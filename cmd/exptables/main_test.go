@@ -46,8 +46,8 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("duplicate experiment id %q", e.id)
 		}
 		seen[e.id] = true
-		if e.cells == nil {
-			t.Fatalf("experiment %q has no cell builder", e.id)
+		if e.sweep == nil {
+			t.Fatalf("experiment %q has no sweep builder", e.id)
 		}
 		if e.title == "" {
 			t.Fatalf("experiment %q has no title", e.id)

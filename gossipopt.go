@@ -26,16 +26,15 @@
 //	best, _ := net.GlobalBest()
 //	fmt.Println(best.F)
 //
-// The package also exposes the simulation engine, the benchmark functions,
-// alternative solvers (differential evolution, simulated annealing,
-// (1+1)-ES, random search), the experiment harness that regenerates every
-// table and figure of the paper, and a real TCP runtime (package p2p via
-// cmd/p2pnode) for running the identical protocol stack over sockets.
+// The package also exposes the simulation engine, the benchmark functions
+// and alternative solvers (differential evolution, simulated annealing,
+// (1+1)-ES, random search). cmd/exptables regenerates every table and
+// figure of the paper as scenario sweeps, and a real TCP runtime (package
+// p2p via cmd/p2pnode) runs the identical protocol stack over sockets.
 package gossipopt
 
 import (
 	"gossipopt/internal/core"
-	"gossipopt/internal/exp"
 	"gossipopt/internal/funcs"
 	"gossipopt/internal/pso"
 	"gossipopt/internal/rng"
@@ -145,34 +144,3 @@ func RandomSolver() SolverFactory {
 func GASolver(np int) SolverFactory {
 	return func(f Function, dim int, _ int64, r *RNG) Solver { return solver.NewGA(f, dim, np, r) }
 }
-
-// Experiment harness re-exports: regenerate the paper's tables & figures.
-type (
-	// ExpSpec sizes an experiment sweep.
-	ExpSpec = exp.Spec
-	// ExpCell is one sweep configuration.
-	ExpCell = exp.Cell
-	// ExpRunner executes sweeps on a worker pool.
-	ExpRunner = exp.Runner
-	// ExpReport formats results as paper-style tables and figures.
-	ExpReport = exp.Report
-)
-
-// PaperSpec returns the paper's exact experiment parameters (expensive).
-func PaperSpec() ExpSpec { return exp.Paper() }
-
-// QuickSpec returns a laptop-scale spec preserving the sweeps' shape.
-func QuickSpec() ExpSpec { return exp.Quick() }
-
-// Experiment builders (see DESIGN.md's per-experiment index).
-var (
-	Experiment1          = exp.Experiment1
-	Experiment2          = exp.Experiment2
-	Experiment3          = exp.Experiment3
-	Experiment4          = exp.Experiment4
-	AblationNoGossip     = exp.AblationNoGossip
-	AblationTopology     = exp.AblationTopology
-	AblationChurn        = exp.AblationChurn
-	AblationMessageLoss  = exp.AblationMessageLoss
-	AblationMixedSolvers = exp.AblationMixedSolvers
-)

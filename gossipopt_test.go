@@ -92,42 +92,3 @@ func TestFacadeTopologies(t *testing.T) {
 		}
 	}
 }
-
-func TestFacadeExperimentSpecs(t *testing.T) {
-	paper := gossipopt.PaperSpec()
-	quick := gossipopt.QuickSpec()
-	if paper.Reps != 50 {
-		t.Fatalf("paper reps = %d", paper.Reps)
-	}
-	if quick.Reps >= paper.Reps {
-		t.Fatal("quick not smaller than paper")
-	}
-	if cells := gossipopt.Experiment1(quick, true); len(cells) == 0 {
-		t.Fatal("no E1 cells")
-	}
-	if cells := gossipopt.AblationMixedSolvers(quick, true); len(cells) == 0 {
-		t.Fatal("no mixed-solver cells")
-	}
-}
-
-func TestFacadeExperimentEndToEnd(t *testing.T) {
-	spec := gossipopt.ExpSpec{
-		Funcs:         []gossipopt.Function{gossipopt.Sphere},
-		Reps:          2,
-		BudgetPerNode: 200,
-		Ns:            []int{1, 4},
-		Ks:            []int{8},
-	}
-	cells := gossipopt.Experiment1(spec, true)
-	runner := &gossipopt.ExpRunner{Reps: 2, BaseSeed: 4}
-	report := &gossipopt.ExpReport{Title: "e2e", Results: runner.Sweep(cells)}
-	if len(report.BestRows()) != 1 {
-		t.Fatalf("best rows = %d", len(report.BestRows()))
-	}
-	if report.Table() == "" {
-		t.Fatal("empty table")
-	}
-	if len(report.Figure1()) != 1 {
-		t.Fatal("missing figure")
-	}
-}

@@ -15,8 +15,7 @@ import (
 // file reduces each cell's final-sample records to min/mean/max/stddev
 // per metric plus the cycles-to-threshold statistic, rendered as a
 // deterministic long-format summary table (CSV or JSONL) and consumed by
-// the human-readable comparison report in report.go. exp.Runner sweeps
-// bridge into the same shape via CellResult.Summary.
+// the human-readable comparison report in report.go.
 
 // MetricStat summarizes one metric across a cell's repetitions.
 type MetricStat struct {
@@ -100,32 +99,6 @@ func AggregateCell(sweep, cell string, finals []Record, toThreshold []float64, t
 	cs.Quality, cs.Time, cs.Evals, cs.Live = statOf(&q), statOf(&tm), statOf(&ev), statOf(&lv)
 	cs.Exchanges, cs.Lost, cs.Adoptions = statOf(&ex), statOf(&lo), statOf(&ad)
 	cs.Delivered, cs.Dropped, cs.ToThreshold = statOf(&dl), statOf(&dr), statOf(&tth)
-	return cs
-}
-
-// Summary bridges a Runner sweep cell into the scenario-sweep summary
-// shape, so paper-style exp.Runner results render through the same
-// CSV/JSONL summary table and comparison report as scenario sweeps.
-// Threshold-mode cells (Cell.Threshold >= 0) map their time summary onto
-// ToThreshold with the Reached/Censored counts carried over.
-func (r CellResult) Summary(sweep string) CellSummary {
-	conv := func(s stats.Summary) MetricStat {
-		return MetricStat{N: s.N, Min: s.Min, Mean: s.Avg, Max: s.Max, Std: math.Sqrt(s.Var)}
-	}
-	cs := CellSummary{
-		Sweep:   sweep,
-		Cell:    r.Cell.Label(),
-		Reps:    r.Reps,
-		Quality: conv(r.Quality),
-		Time:    conv(r.Time),
-		Evals:   conv(r.Evals),
-	}
-	if r.Cell.Threshold >= 0 {
-		th := r.Cell.Threshold
-		cs.Threshold = &th
-		cs.ToThreshold = conv(r.Time)
-		cs.Reached, cs.Censored = r.Reached, r.Censored
-	}
 	return cs
 }
 

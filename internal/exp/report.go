@@ -2,223 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"gossipopt/internal/plot"
 )
-
-// Report assembles sweep results into the paper's artifacts: a table in
-// the avg/min/max/Var format and one figure (chart) per function.
-type Report struct {
-	Title   string
-	Results []CellResult
-}
-
-// Table renders the paper-style table. For budget-mode experiments the
-// reported metric is solution quality; for threshold mode it is time
-// (local evaluations per node), with censored runs counted. Rows are
-// grouped by function; within a function, the best row (lowest avg) is
-// marked with '*' — the paper's tables report exactly these per-function
-// best results.
-func (r *Report) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", r.Title)
-	fmt.Fprintf(&b, "%-44s %12s %12s %12s %12s %s\n",
-		"configuration", "avg", "min", "max", "var", "notes")
-
-	byFunc := map[string][]CellResult{}
-	var order []string
-	for _, res := range r.Results {
-		name := res.Cell.Function.Name
-		if _, ok := byFunc[name]; !ok {
-			order = append(order, name)
-		}
-		byFunc[name] = append(byFunc[name], res)
-	}
-	for _, name := range order {
-		group := byFunc[name]
-		bestIdx := -1
-		for i, res := range group {
-			s := res.Quality
-			if res.Cell.Threshold >= 0 {
-				s = res.Time
-			}
-			if s.N == 0 {
-				continue
-			}
-			if bestIdx < 0 {
-				bestIdx = i
-				continue
-			}
-			prev := group[bestIdx].Quality
-			if group[bestIdx].Cell.Threshold >= 0 {
-				prev = group[bestIdx].Time
-			}
-			if s.Avg < prev.Avg {
-				bestIdx = i
-			}
-		}
-		for i, res := range group {
-			s := res.Quality
-			note := ""
-			if res.Cell.Threshold >= 0 {
-				s = res.Time
-				if res.Censored > 0 {
-					note = fmt.Sprintf("censored %d/%d", res.Censored, res.Reps)
-				}
-				if res.Reached == 0 {
-					s.Avg, s.Min, s.Max, s.Var = 0, 0, 0, 0
-					note = "never reached (–)"
-				}
-			}
-			mark := " "
-			if i == bestIdx {
-				mark = "*"
-			}
-			fmt.Fprintf(&b, "%s%-43s %12.5g %12.5g %12.5g %12.5g %s\n",
-				mark, res.Cell.Label(), s.Avg, s.Min, s.Max, s.Var, note)
-		}
-	}
-	return b.String()
-}
-
-// BestRows returns, per function (in first-seen order), the cell result
-// with the lowest average metric — the paper tables' per-function rows.
-func (r *Report) BestRows() []CellResult {
-	byFunc := map[string]*CellResult{}
-	var order []string
-	for i := range r.Results {
-		res := r.Results[i]
-		metric := func(cr CellResult) (float64, bool) {
-			if cr.Cell.Threshold >= 0 {
-				if cr.Reached == 0 {
-					return 0, false
-				}
-				return cr.Time.Avg, true
-			}
-			return cr.Quality.Avg, true
-		}
-		m, ok := metric(res)
-		if !ok {
-			continue
-		}
-		name := res.Cell.Function.Name
-		cur, seen := byFunc[name]
-		if !seen {
-			order = append(order, name)
-			cp := res
-			byFunc[name] = &cp
-			continue
-		}
-		curM, _ := metric(*cur)
-		if m < curM {
-			cp := res
-			byFunc[name] = &cp
-		}
-	}
-	out := make([]CellResult, 0, len(order))
-	for _, name := range order {
-		out = append(out, *byFunc[name])
-	}
-	return out
-}
-
-// axis selects the figure's x value for a cell given the experiment shape.
-type axis func(Cell) float64
-
-// series selects the figure's series key for a cell.
-type series func(Cell) string
-
-// Figure builds one chart per function from the results, with the given
-// axis/series selectors and y metric ("quality" or "time").
-func (r *Report) Figure(xOf axis, seriesOf series, xLabel, metric string, logX bool) []*plot.Chart {
-	byFunc := map[string][]CellResult{}
-	var order []string
-	for _, res := range r.Results {
-		name := res.Cell.Function.Name
-		if _, ok := byFunc[name]; !ok {
-			order = append(order, name)
-		}
-		byFunc[name] = append(byFunc[name], res)
-	}
-	var charts []*plot.Chart
-	for _, name := range order {
-		ch := &plot.Chart{
-			Title:  fmt.Sprintf("%s — %s", r.Title, name),
-			XLabel: xLabel,
-			YLabel: metric,
-			LogX:   logX,
-			LogY:   true,
-		}
-		group := byFunc[name]
-		bySeries := map[string][]CellResult{}
-		var sOrder []string
-		for _, res := range group {
-			key := seriesOf(res.Cell)
-			if _, ok := bySeries[key]; !ok {
-				sOrder = append(sOrder, key)
-			}
-			bySeries[key] = append(bySeries[key], res)
-		}
-		sort.Strings(sOrder)
-		for _, key := range sOrder {
-			var xs, ys []float64
-			for _, res := range bySeries[key] {
-				y := res.Quality.Avg
-				if metric == "time" {
-					if res.Reached == 0 {
-						continue // censored: the paper leaves these out
-					}
-					y = res.Time.Avg
-				}
-				xs = append(xs, xOf(res.Cell))
-				ys = append(ys, y)
-			}
-			if len(xs) > 0 {
-				ch.Add(key, xs, ys)
-			}
-		}
-		charts = append(charts, ch)
-	}
-	return charts
-}
-
-// Standard figure selectors for the four experiments.
-
-// Figure1 plots quality vs particles per node, one series per network size.
-func (r *Report) Figure1() []*plot.Chart {
-	return r.Figure(
-		func(c Cell) float64 { return float64(c.K) },
-		func(c Cell) string { return fmt.Sprintf("size=%d", c.N) },
-		"particles per node", "quality", false)
-}
-
-// Figure2 plots quality vs network size (log2), one series per swarm size.
-func (r *Report) Figure2() []*plot.Chart {
-	return r.Figure(
-		func(c Cell) float64 { return float64(c.N) },
-		func(c Cell) string { return fmt.Sprintf("particles=%d", c.K) },
-		"network size", "quality", true)
-}
-
-// Figure3 plots quality vs gossip cycle length, one series per network
-// size.
-func (r *Report) Figure3() []*plot.Chart {
-	return r.Figure(
-		func(c Cell) float64 { return float64(c.R) },
-		func(c Cell) string { return fmt.Sprintf("size=%d", c.N) },
-		"gossip cycle length", "quality", false)
-}
-
-// Figure4 plots time-to-threshold vs network size, one series per swarm
-// size.
-func (r *Report) Figure4() []*plot.Chart {
-	return r.Figure(
-		func(c Cell) float64 { return float64(c.N) },
-		func(c Cell) string { return fmt.Sprintf("particles=%d", c.K) },
-		"# of nodes", "time", true)
-}
 
 // SweepReport renders cell summaries as a human-readable comparison
 // table: one row per cell with the final-sample quality (mean ± std over

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"gossipopt/internal/core"
 	"gossipopt/internal/plot"
@@ -102,30 +100,4 @@ func ConvergenceChart(title string, traces map[string]*Trace) *plot.Chart {
 		ch.Add(label, xs, append([]float64(nil), tr.Quality...))
 	}
 	return ch
-}
-
-// Markdown renders a set of cell results as a GitHub-flavored markdown
-// table — the format EXPERIMENTS.md embeds.
-func Markdown(title string, results []CellResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s\n\n", title)
-	b.WriteString("| configuration | avg | min | max | var | notes |\n")
-	b.WriteString("|---|---|---|---|---|---|\n")
-	for _, res := range results {
-		s := res.Quality
-		note := ""
-		if res.Cell.Threshold >= 0 {
-			s = res.Time
-			if res.Reached == 0 {
-				fmt.Fprintf(&b, "| %s | – | – | – | – | never reached |\n", res.Cell.Label())
-				continue
-			}
-			if res.Censored > 0 {
-				note = fmt.Sprintf("censored %d/%d", res.Censored, res.Reps)
-			}
-		}
-		fmt.Fprintf(&b, "| %s | %.5g | %.5g | %.5g | %.5g | %s |\n",
-			res.Cell.Label(), s.Avg, s.Min, s.Max, s.Var, note)
-	}
-	return b.String()
 }

@@ -75,21 +75,3 @@ func TestConvergenceChart(t *testing.T) {
 		t.Fatal("title missing")
 	}
 }
-
-func TestMarkdownTable(t *testing.T) {
-	cells := []Cell{
-		{Function: funcs.Sphere, N: 2, K: 8, R: 8, Budget: 400, Threshold: -1},
-		{Function: funcs.Griewank, N: 2, K: 8, R: 8, Threshold: 1e-10, MaxEvals: 400},
-	}
-	r := &Runner{Reps: 2, BaseSeed: 7}
-	md := Markdown("test table", r.Sweep(cells))
-	if !strings.Contains(md, "| configuration |") {
-		t.Fatalf("markdown header missing:\n%s", md)
-	}
-	if !strings.Contains(md, "Sphere") {
-		t.Fatal("row missing")
-	}
-	if !strings.Contains(md, "never reached") {
-		t.Fatalf("censored marker missing:\n%s", md)
-	}
-}
