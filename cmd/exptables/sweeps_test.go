@@ -301,7 +301,7 @@ func TestFigure4SkipsCensored(t *testing.T) {
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	runWith := func(workers, engineWorkers string) string {
 		var out, errOut bytes.Buffer
-		args := []string{"-exp", "a4,a5", "-funcs", "Sphere", "-reps", "2", "-workers", workers, "-engineworkers", engineWorkers}
+		args := []string{"-exp", "a5", "-funcs", "Sphere", "-reps", "2", "-workers", workers, "-engineworkers", engineWorkers}
 		if err := run(args, &out, &errOut); err != nil {
 			t.Fatalf("%v\n%s", err, errOut.String())
 		}
