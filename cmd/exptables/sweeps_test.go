@@ -181,9 +181,9 @@ func TestAblationCells(t *testing.T) {
 	}
 }
 
-// TestStopRules runs one cell of each mode: a budget cell stops at its
-// evaluation budget, a threshold cell as soon as it reaches the target.
-func TestStopRules(t *testing.T) {
+// TestStopRuleBudget runs one budget-mode cell: it stops at its
+// evaluation budget.
+func TestStopRuleBudget(t *testing.T) {
 	results, err := scenario.RunSweep(tinyTable1([]string{"Sphere"}, []int{4}, []int{8}, 500),
 		scenario.Options{}, exp.DiscardSink{})
 	if err != nil {
@@ -192,13 +192,17 @@ func TestStopRules(t *testing.T) {
 	if sum := results[0].Sums[0]; sum.Evals < 2000 || sum.Evals > 2000+4 || sum.Cycles != 500 {
 		t.Fatalf("budget cell ran %d cycles and %d evals, want 500 and 2000", sum.Cycles, sum.Evals)
 	}
+}
 
+// TestStopRuleThreshold runs one threshold-mode cell: it stops as soon
+// as it reaches the target, before the evaluation cap.
+func TestStopRuleThreshold(t *testing.T) {
 	p := quickParams([]string{"Sphere"})
 	p.threshold = 1e-6
 	sw := experiment4(p)
 	sw.Axes[1] = nodesAxis([]int{4}, 0)
 	sw.Axes[2] = swarmAxis([]int{16})
-	results, err = scenario.RunSweep(sw, scenario.Options{BaseSeed: 2}, exp.DiscardSink{})
+	results, err := scenario.RunSweep(sw, scenario.Options{BaseSeed: 2}, exp.DiscardSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
