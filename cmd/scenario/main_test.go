@@ -129,19 +129,22 @@ func TestShowEmitsRunnableSpec(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterminism pins the exact bytes of a built-in campaign: any
-// drift in engine scheduling, RNG use, or metric formatting fails here.
+// TestGoldenDeterminism pins the exact bytes of built-in campaigns — one
+// on the cycle engine, two on the event engine: any drift in engine
+// scheduling, RNG use, or metric formatting fails here.
 func TestGoldenDeterminism(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "baseline.golden.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := runCmd(t, "-run", "baseline", "-reps", "2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != string(golden) {
-		t.Fatalf("baseline campaign drifted from golden file:\n--- got ---\n%s--- want ---\n%s", out, golden)
+	for _, name := range []string{"baseline", "lossy-wan", "latency-spike"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", name+".golden.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := runCmd(t, "-run", name, "-reps", "2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(golden) {
+			t.Fatalf("%s campaign drifted from golden file:\n--- got ---\n%s--- want ---\n%s", name, out, golden)
+		}
 	}
 }
 
