@@ -230,7 +230,7 @@ func BenchmarkApplyShards(b *testing.B) {
 			e.SetWorkers(8)
 			e.SetApplyWorkers(w)
 			e.AddNodes(n)
-			overlay.InitNewscast(e, 0, 20)
+			overlay.InitNewscast(e.LiveNodes(), e.RNG(), 0, 20)
 			start := e.Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -395,7 +395,7 @@ func BenchmarkRunEvalsBudgetCheck(b *testing.B) {
 func BenchmarkNewscastCycle(b *testing.B) {
 	e := sim.NewEngine(1)
 	e.AddNodes(256)
-	overlay.InitNewscast(e, 0, 20)
+	overlay.InitNewscast(e.LiveNodes(), e.RNG(), 0, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RunCycle()

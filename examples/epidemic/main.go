@@ -28,7 +28,7 @@ func main() {
 func run(out io.Writer, n int, splitAt, healAt, horizon int64) {
 	e := sim.NewEngine(11)
 	nodes := e.AddNodes(n)
-	overlay.InitStatic(e, 0, overlay.KRegularRandom(8))
+	overlay.InitStatic(e.LiveNodes(), e.RNG(), 0, overlay.KRegularRandom(8))
 	for _, nd := range nodes {
 		nd.Protocols = append(nd.Protocols, &gossip.Rumor{
 			Slot: 0, SelfSlot: 1, Fanout: 2, StopProb: 0.05,

@@ -14,7 +14,10 @@
 // Network wires the three services onto a sim.Engine for n nodes and
 // exposes the run/measure operations the paper's experiments need: run to
 // a global evaluation budget, run to a quality threshold, and read the
-// global best.
+// global best. EventNetwork wires the identical node stack onto the
+// event-driven sim.EventEngine, where evaluations take time and every
+// exchange leg is subject to link latency and loss — the paper's
+// deployment target is, after all, fully asynchronous.
 package core
 
 import (
@@ -263,12 +266,14 @@ type Config struct {
 	SolverFactory solver.Factory
 	// DropProb is the coordination message-loss probability.
 	DropProb float64
-	// Churn, when non-nil, is applied by the engine every cycle.
+	// Churn, when non-nil, is applied by the engine every cycle (cycle
+	// engine only).
 	Churn sim.ChurnModel
-	// Workers is the engine's pool parallelism for both cycle phases
-	// (<= 1: single-threaded). ApplyWorkers, when positive, overrides the
-	// apply-phase parallelism independently. The trace is bit-identical
-	// for every (Workers, ApplyWorkers) combination.
+	// Workers is the cycle engine's pool parallelism for both cycle
+	// phases (<= 1: single-threaded). ApplyWorkers, when positive,
+	// overrides the apply-phase parallelism independently. The trace is
+	// bit-identical for every (Workers, ApplyWorkers) combination. The
+	// event engine is single-threaded and ignores both.
 	Workers      int
 	ApplyWorkers int
 }
@@ -290,29 +295,126 @@ func (c Config) withDefaults() Config {
 }
 
 // InitTopology wires the selected topology service into protocol slot
-// `slot` of every live node. Exposed so stacks other than the optimizer
+// `slot` of every node in nodes, drawing bootstrap peers and static links
+// from r (the engine RNG). Exposed so stacks other than the optimizer
 // (e.g. the scenario layer's epidemic-protocol networks) wire the same
-// substrate the same way.
-func InitTopology(eng *sim.Engine, slot int, kind TopologyKind, viewSize int) {
+// substrate the same way, on either engine.
+func InitTopology(nodes []*sim.Node, r *rng.RNG, slot int, kind TopologyKind, viewSize int) {
 	switch kind {
 	case TopoNewscast:
-		overlay.InitNewscast(eng, slot, viewSize)
+		overlay.InitNewscast(nodes, r, slot, viewSize)
 	case TopoRandom:
-		overlay.InitStatic(eng, slot, overlay.KRegularRandom(viewSize))
+		overlay.InitStatic(nodes, r, slot, overlay.KRegularRandom(viewSize))
 	case TopoRing:
-		overlay.InitStatic(eng, slot, overlay.Ring)
+		overlay.InitStatic(nodes, r, slot, overlay.Ring)
 	case TopoStar:
-		overlay.InitStatic(eng, slot, overlay.Star)
+		overlay.InitStatic(nodes, r, slot, overlay.Star)
 	case TopoFull:
-		overlay.InitStatic(eng, slot, overlay.FullMesh)
+		overlay.InitStatic(nodes, r, slot, overlay.FullMesh)
 	case TopoCyclon:
-		overlay.InitCyclon(eng, slot, viewSize, viewSize/2)
+		overlay.InitCyclon(nodes, r, slot, viewSize, viewSize/2)
 	}
 }
 
-// Network is a running deployment of the framework.
+// newOptNode builds node id's optimizer + coordination service, its solver
+// seeded from a split of the node's RNG r.
+func (c Config) newOptNode(id sim.NodeID, r *rng.RNG) *OptNode {
+	var s solver.Solver
+	if c.SolverFactory != nil {
+		s = c.SolverFactory(c.Function, c.Dim, int64(id), r.Split())
+	} else {
+		s = pso.New(c.Function, c.Dim, c.Particles, c.PSO, r.Split())
+	}
+	return &OptNode{Solver: s, R: c.GossipEvery, DropProb: c.DropProb}
+}
+
+// wire fills the initial population's stacks on either engine: the
+// topology service in slot 0, bootstrapped from r, and an OptNode in
+// slot 1.
+func (c Config) wire(nodes []*sim.Node, r *rng.RNG) {
+	InitTopology(nodes, r, SlotTopology, c.Topology, c.ViewSize)
+	for _, n := range nodes {
+		for len(n.Protocols) <= SlotOpt {
+			n.Protocols = append(n.Protocols, nil)
+		}
+		n.Protocols[SlotOpt] = c.newOptNode(n.ID, n.RNG)
+	}
+}
+
+// liveSet is what the measurements read from either engine.
+type liveSet interface {
+	ForEachLive(f func(n *sim.Node))
+	Evals() int64
+}
+
+// measures is the measurement surface Network and EventNetwork share: one
+// implementation of the global best, the quality metric, the coordination
+// counters and the evaluation count, over whichever engine hosts the
+// nodes.
+type measures struct {
+	cfg   Config
+	nodes liveSet
+}
+
+// Config returns the network's (defaulted) configuration.
+func (m measures) Config() Config { return m.cfg }
+
+// TotalEvals returns the number of objective evaluations performed by all
+// nodes, dead or alive — the paper's global budget e. O(1): the engine
+// maintains the counter (fed by OptNode.Propose through CountEvals), so
+// the per-cycle budget checks of RunEvals/RunUntil do not make a run
+// quadratic in n.
+func (m measures) TotalEvals() int64 { return m.nodes.Evals() }
+
+// GlobalBest returns the best point known to any live node (the paper's
+// global optimum g) and false if no node has evaluated yet.
+func (m measures) GlobalBest() (BestPoint, bool) {
+	best := BestPoint{F: math.Inf(1)}
+	found := false
+	m.nodes.ForEachLive(func(n *sim.Node) {
+		o, ok := n.Protocol(SlotOpt).(*OptNode)
+		if !ok {
+			return
+		}
+		if x, f := o.Solver.Best(); x != nil && f < best.F {
+			best = BestPoint{X: x, F: f}
+			found = true
+		}
+	})
+	return best, found
+}
+
+// Quality returns the paper's solution-quality metric for the current
+// global best: f(best) − f(x*). Infinity before any evaluation.
+func (m measures) Quality() float64 {
+	b, ok := m.GlobalBest()
+	if !ok {
+		return math.Inf(1)
+	}
+	return b.F - m.cfg.Function.OptimumValue
+}
+
+// Metrics aggregates coordination-service counters across all nodes.
+type Metrics struct {
+	Exchanges, LostExchanges, Adoptions int64
+}
+
+// Metrics returns the summed coordination counters (live nodes only).
+func (m measures) Metrics() Metrics {
+	var out Metrics
+	m.nodes.ForEachLive(func(n *sim.Node) {
+		if o, ok := n.Protocol(SlotOpt).(*OptNode); ok {
+			out.Exchanges += o.Exchanges
+			out.LostExchanges += o.LostExchanges
+			out.Adoptions += o.Adoptions
+		}
+	})
+	return out
+}
+
+// Network is a running deployment of the framework on the cycle engine.
 type Network struct {
-	cfg Config
+	measures
 	eng *sim.Engine
 }
 
@@ -329,64 +431,29 @@ func NewNetwork(cfg Config) *Network {
 		eng.SetApplyWorkers(cfg.ApplyWorkers)
 	}
 
-	mkSolver := cfg.SolverFactory
-	if mkSolver == nil {
-		mkSolver = func(f funcs.Function, dim int, _ int64, r *rng.RNG) solver.Solver {
-			return pso.New(f, dim, cfg.Particles, cfg.PSO, r)
-		}
-	}
-	newOptNode := func(id sim.NodeID, r *rng.RNG) *OptNode {
-		return &OptNode{
-			Solver:   mkSolver(cfg.Function, cfg.Dim, int64(id), r.Split()),
-			R:        cfg.GossipEvery,
-			DropProb: cfg.DropProb,
-		}
-	}
-
 	// Factory handles churn-joined nodes; initial nodes are re-wired below.
 	eng.SetNodeFactory(func(n *sim.Node) {
 		nc := overlay.NewNewscast(n.ID, cfg.ViewSize, SlotTopology)
 		if b := eng.RandomLiveNode(n.ID); b != nil {
 			nc.Bootstrap([]sim.NodeID{b.ID})
 		}
-		n.Protocols = []sim.Protocol{nc, newOptNode(n.ID, n.RNG)}
+		n.Protocols = []sim.Protocol{nc, cfg.newOptNode(n.ID, n.RNG)}
 	})
 
-	nodes := eng.AddNodes(cfg.Nodes)
-
-	// Topology service.
-	InitTopology(eng, SlotTopology, cfg.Topology, cfg.ViewSize)
-
-	// Optimizer + coordination service. InitNewscast/InitStatic already
-	// sized the protocol slice; ensure slot 1 exists and fill it.
-	for _, n := range nodes {
-		for len(n.Protocols) <= SlotOpt {
-			n.Protocols = append(n.Protocols, nil)
-		}
-		n.Protocols[SlotOpt] = newOptNode(n.ID, n.RNG)
-	}
+	cfg.wire(eng.AddNodes(cfg.Nodes), eng.RNG())
 
 	if cfg.Churn != nil {
 		eng.SetChurn(cfg.Churn)
 	}
-	return &Network{cfg: cfg, eng: eng}
+	return &Network{measures{cfg, eng}, eng}
 }
 
 // Engine exposes the underlying simulation engine.
 func (net *Network) Engine() *sim.Engine { return net.eng }
 
-// Config returns the network's (defaulted) configuration.
-func (net *Network) Config() Config { return net.cfg }
-
 // Step runs one simulation cycle: every live node spends one evaluation
 // and gossips if due.
 func (net *Network) Step() { net.eng.RunCycle() }
-
-// TotalEvals returns the number of objective evaluations performed by all
-// nodes, dead or alive — the paper's global budget e. O(1): the engine
-// maintains the counter (fed by OptNode.Propose), so the per-cycle budget
-// checks of RunEvals/RunUntil no longer make a run quadratic in n.
-func (net *Network) TotalEvals() int64 { return net.eng.Evals() }
 
 // ScanTotalEvals recomputes TotalEvals by walking every node's solver —
 // the historical O(n) implementation, kept as a cross-check of the
@@ -401,34 +468,6 @@ func (net *Network) ScanTotalEvals() int64 {
 		}
 	}
 	return total
-}
-
-// GlobalBest returns the best point known to any live node (the paper's
-// global optimum g) and false if no node has evaluated yet.
-func (net *Network) GlobalBest() (BestPoint, bool) {
-	best := BestPoint{F: math.Inf(1)}
-	found := false
-	net.eng.ForEachLive(func(n *sim.Node) {
-		o, ok := n.Protocol(SlotOpt).(*OptNode)
-		if !ok {
-			return
-		}
-		if x, f := o.Solver.Best(); x != nil && f < best.F {
-			best = BestPoint{X: x, F: f}
-			found = true
-		}
-	})
-	return best, found
-}
-
-// Quality returns the paper's solution-quality metric for the current
-// global best: f(best) − f(x*). Infinity before any evaluation.
-func (net *Network) Quality() float64 {
-	b, ok := net.GlobalBest()
-	if !ok {
-		return math.Inf(1)
-	}
-	return b.F - net.cfg.Function.OptimumValue
 }
 
 // RunEvals runs cycles until at least totalEvals objective evaluations have
@@ -464,23 +503,33 @@ func (net *Network) RunUntil(threshold float64, maxEvals int64) (cycles, evals i
 	}
 }
 
-// Metrics aggregates coordination-service counters across all nodes.
-type Metrics struct {
-	Exchanges, LostExchanges, Adoptions int64
+// EventNetwork is a running deployment of the framework on the event
+// engine: the same node stack as Network, with slot timers in place of
+// lock-step cycles.
+type EventNetwork struct {
+	measures
+	eng *sim.EventEngine
 }
 
-// Metrics returns the summed coordination counters (live nodes only).
-func (net *Network) Metrics() Metrics {
-	var m Metrics
-	net.eng.ForEachLive(func(n *sim.Node) {
-		if o, ok := n.Protocol(SlotOpt).(*OptNode); ok {
-			m.Exchanges += o.Exchanges
-			m.LostExchanges += o.LostExchanges
-			m.Adoptions += o.Adoptions
-		}
-	})
-	return m
+// NewEventNetwork builds and wires an event-driven network per cfg (Churn,
+// Workers and ApplyWorkers are cycle-engine settings and are ignored).
+// Every node spends one evaluation per tick of its optimizer slot, which
+// fires every evalTime × U(0.8, 1.2), and runs its topology service every
+// newscastPeriod × U(0.8, 1.2) (a static topology ticks as a no-op).
+// Every exchange leg travels over link (nil: zero latency, no loss).
+func NewEventNetwork(cfg Config, evalTime, newscastPeriod float64, link sim.LinkModel) *EventNetwork {
+	cfg = cfg.withDefaults()
+	eng := sim.NewEventEngine(cfg.Seed, link)
+	cfg.wire(eng.AddNodes(cfg.Nodes), eng.RNG())
+	periods := make([]float64, SlotOpt+1)
+	periods[SlotTopology] = newscastPeriod
+	periods[SlotOpt] = evalTime
+	eng.Start(periods...)
+	return &EventNetwork{measures{cfg, eng}, eng}
 }
+
+// Engine exposes the underlying event engine.
+func (net *EventNetwork) Engine() *sim.EventEngine { return net.eng }
 
 // String summarizes the network.
 func (net *Network) String() string {

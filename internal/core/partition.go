@@ -51,6 +51,7 @@ func zoneEval(f funcs.Function, zoneLo, zoneHi float64) (eval funcs.Objective, t
 type zoneSolver struct {
 	inner  solver.Solver
 	toTrue func([]float64) []float64
+	dim    int
 
 	bx []float64 // reported best in true coordinates
 	bf float64
@@ -70,9 +71,10 @@ func (z *zoneSolver) EvalOne() float64 {
 func (z *zoneSolver) Best() ([]float64, float64) { return z.bx, z.bf }
 
 // Inject implements solver.Solver: report-only adoption, preserving the
-// zone partition.
+// zone partition. Like every solver it refuses a NaN or -Inf fitness and a
+// point of the wrong dimension.
 func (z *zoneSolver) Inject(x []float64, fx float64) bool {
-	if fx >= z.bf || len(x) == 0 {
+	if !(fx > math.Inf(-1)) || fx >= z.bf || len(x) != z.dim {
 		return false
 	}
 	z.bx = vec.Clone(x)
@@ -108,6 +110,7 @@ func PartitionedConfig(base Config) Config {
 		return &zoneSolver{
 			inner:  pso.New(zf, dim, k, psoCfg, r),
 			toTrue: toTrue,
+			dim:    dim,
 			bf:     math.Inf(1),
 		}
 	}

@@ -144,6 +144,7 @@ func TestZoneSolverInjectReportOnly(t *testing.T) {
 	zs := &zoneSolver{
 		inner:  newTestPSO(zf),
 		toTrue: toTrue,
+		dim:    10,
 		bf:     math.Inf(1),
 	}
 	zs.EvalOne()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -69,10 +70,13 @@ func TestSolversByNameMixed(t *testing.T) {
 	}
 }
 
-// TestInjectRejectsNaN: a NaN fitness offered through Inject — which any
-// gossip peer can send — is never adopted, neither over a real best nor as
-// the first best of a fresh solver, and it does not block a later, better
-// point (NaN compares false, so an adopted NaN would accept anything).
+// TestInjectRejectsNaN: a NaN or -Inf fitness offered through Inject —
+// which any gossip peer can send — is never adopted, neither over a real
+// best nor as the first best of a fresh solver, and it does not block a
+// later, better point (NaN compares false and nothing beats -Inf, so an
+// adopted one would accept anything or refuse everything). A point of the
+// wrong dimension is refused too. The zone-confined solver of
+// PartitionedConfig is checked beside the registry's solvers.
 func TestInjectRejectsNaN(t *testing.T) {
 	const dim = 4
 	point := func(v float64) []float64 {
@@ -82,43 +86,52 @@ func TestInjectRejectsNaN(t *testing.T) {
 		}
 		return x
 	}
-	for _, name := range SolverNames() {
-		t.Run(name, func(t *testing.T) {
-			mk, err := SolverByName(name, 8)
-			if err != nil {
+	zone := PartitionedConfig(Config{Nodes: 4, Particles: 8, Function: funcs.Sphere}).SolverFactory
+	for _, name := range append(SolverNames(), "zone") {
+		mk := zone
+		if name != "zone" {
+			var err error
+			if mk, err = SolverByName(name, 8); err != nil {
 				t.Fatal(err)
 			}
-			fresh := mk(funcs.Sphere, dim, 0, rng.New(1))
-			if fresh.Inject(point(1), math.NaN()) {
-				t.Fatal("fresh solver adopted a NaN fitness")
-			}
-			if !fresh.Inject(point(1), funcs.Sphere.Eval(point(1))) {
-				t.Fatal("fresh solver refused a real point after a NaN offer")
-			}
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s/%v", name, bad), func(t *testing.T) {
+				fresh := mk(funcs.Sphere, dim, 0, rng.New(1))
+				if fresh.Inject(point(1), bad) {
+					t.Fatalf("fresh solver adopted fitness %v", bad)
+				}
+				if !fresh.Inject(point(1), funcs.Sphere.Eval(point(1))) {
+					t.Fatalf("fresh solver refused a real point after a %v offer", bad)
+				}
 
-			s := mk(funcs.Sphere, dim, 0, rng.New(2))
-			for i := 0; i < 64; i++ {
-				s.EvalOne()
-			}
-			_, before := s.Best()
-			if before <= 0 || math.IsNaN(before) {
-				t.Fatalf("unexpected best %v after 64 evaluations", before)
-			}
-			if s.Inject(point(3), math.NaN()) {
-				t.Fatal("NaN fitness adopted over a real best")
-			}
-			if _, f := s.Best(); f != before {
-				t.Fatalf("best moved from %v to %v on a NaN offer", before, f)
-			}
-			if s.Inject(point(5), 1e300) {
-				t.Fatal("a far worse point was adopted after a NaN offer")
-			}
-			if !s.Inject(point(0), 0) {
-				t.Fatal("a better point was refused after a NaN offer")
-			}
-			if _, f := s.Best(); f != 0 {
-				t.Fatalf("best = %v after injecting the optimum, want 0", f)
-			}
-		})
+				s := mk(funcs.Sphere, dim, 0, rng.New(2))
+				for i := 0; i < 64; i++ {
+					s.EvalOne()
+				}
+				_, before := s.Best()
+				if before <= 0 || math.IsNaN(before) {
+					t.Fatalf("unexpected best %v after 64 evaluations", before)
+				}
+				if s.Inject(point(3), bad) {
+					t.Fatalf("fitness %v adopted over a real best", bad)
+				}
+				if _, f := s.Best(); f != before {
+					t.Fatalf("best moved from %v to %v on a %v offer", before, f, bad)
+				}
+				if s.Inject(point(5), 1e300) {
+					t.Fatalf("a far worse point was adopted after a %v offer", bad)
+				}
+				if s.Inject([]float64{0}, -1) {
+					t.Fatal("a point of the wrong dimension was adopted")
+				}
+				if !s.Inject(point(0), 0) {
+					t.Fatalf("a better point was refused after a %v offer", bad)
+				}
+				if _, f := s.Best(); f != 0 {
+					t.Fatalf("best = %v after injecting the optimum, want 0", f)
+				}
+			})
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 func buildNet(seed uint64, n int, mk func(id sim.NodeID) sim.Protocol) *sim.Engine {
 	e := sim.NewEngine(seed)
 	nodes := e.AddNodes(n)
-	overlay.InitNewscast(e, 0, 20)
+	overlay.InitNewscast(e.LiveNodes(), e.RNG(), 0, 20)
 	for _, nd := range nodes {
 		nd.Protocols = append(nd.Protocols, mk(nd.ID))
 	}
@@ -318,7 +318,7 @@ func TestRumorWorkerInvariant(t *testing.T) {
 		e.SetWorkers(workers)
 		e.SetApplyWorkers(applyWorkers)
 		nodes := e.AddNodes(80)
-		overlay.InitNewscast(e, 0, 20)
+		overlay.InitNewscast(e.LiveNodes(), e.RNG(), 0, 20)
 		for _, nd := range nodes {
 			nd.Protocols = append(nd.Protocols, &Rumor{Slot: 0, SelfSlot: 1, Fanout: 2, StopProb: 0.2})
 		}
@@ -349,7 +349,7 @@ func TestAntiEntropyWorkerInvariant(t *testing.T) {
 		e.SetWorkers(workers)
 		e.SetApplyWorkers(applyWorkers)
 		nodes := e.AddNodes(80)
-		overlay.InitNewscast(e, 0, 20)
+		overlay.InitNewscast(e.LiveNodes(), e.RNG(), 0, 20)
 		for _, nd := range nodes {
 			ae := newAE(PushPull)
 			ae.DropProb = 0.2
@@ -452,7 +452,7 @@ func TestAverageWorkerInvariant(t *testing.T) {
 		e.SetWorkers(workers)
 		e.SetApplyWorkers(applyWorkers)
 		nodes := e.AddNodes(64)
-		overlay.InitNewscast(e, 0, 20)
+		overlay.InitNewscast(e.LiveNodes(), e.RNG(), 0, 20)
 		for _, nd := range nodes {
 			a := &Average{Slot: 0, SelfSlot: 1}
 			a.SetValue(float64(nd.ID))
@@ -565,5 +565,54 @@ func TestEstimateSize(t *testing.T) {
 	fresh := &Average{}
 	if EstimateSize(fresh) != 0 {
 		t.Fatal("estimate from zero value should be 0")
+	}
+}
+
+// TestAverageConservesSumOnEventEngine runs the unmodified Average on the
+// event engine under 20% link loss. Once every leg in flight has landed,
+// the global sum equals the initial one within the cycle-engine test's
+// tolerance — which holds only if a lost reply leg reaches its sender's
+// Undelivered (the rollback) as surely as a lost request leg does.
+func TestAverageConservesSumOnEventEngine(t *testing.T) {
+	e := sim.NewEventEngine(19, sim.UniformLink{MinDelay: 0.1, MaxDelay: 1, LossProb: 0.2})
+	nodes := e.AddNodes(128)
+	overlay.InitNewscast(nodes, e.RNG(), 0, 20)
+	avgs := make([]*Average, len(nodes))
+	for i, nd := range nodes {
+		avgs[i] = &Average{Slot: 0, SelfSlot: 1}
+		avgs[i].SetValue(float64(nd.ID))
+		nd.Protocols = append(nd.Protocols, avgs[i])
+	}
+	want := Sum(e, 1)
+	e.Start(10, 1)
+	e.RunUntil(60, math.MaxInt64)
+	e.AdvanceTo(60)
+
+	// Drain: the slot keeps handling legs but proposes no more, so after
+	// two maximal latencies nothing of Average's is in flight.
+	type drain struct {
+		sim.Receiver
+		sim.Undeliverable
+	}
+	for i, nd := range nodes {
+		nd.Protocols[1] = drain{avgs[i], avgs[i]}
+	}
+	e.RunUntil(63, math.MaxInt64)
+	for i, nd := range nodes {
+		nd.Protocols[1] = avgs[i]
+	}
+
+	if got := Sum(e, 1); math.Abs(got-want) > 1e-6*math.Abs(want) {
+		t.Fatalf("sum drifted under link loss: %v -> %v", want, got)
+	}
+	var lost int64
+	for _, a := range avgs {
+		lost += a.Lost
+	}
+	if lost == 0 {
+		t.Fatal("loss 0.2 lost no averaging request")
+	}
+	if s := Spread(e, 1); s > 1 {
+		t.Fatalf("spread %v after 60 exchanges per node, want ~0", s)
 	}
 }

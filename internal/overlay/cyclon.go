@@ -200,10 +200,9 @@ func (cy *Cyclon) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message
 	cy.view.Remove(msg.To)
 }
 
-// InitCyclon wires Cyclon into protocol slot `slot` of every live node,
-// bootstrapping with up to c random peers.
-func InitCyclon(e *sim.Engine, slot, c, l int) {
-	nodes := e.LiveNodes()
+// InitCyclon wires Cyclon into protocol slot `slot` of every node in
+// nodes, bootstrapping with up to c random peers of the set chosen by r.
+func InitCyclon(nodes []*sim.Node, r *rng.RNG, slot, c, l int) {
 	ids := make([]sim.NodeID, len(nodes))
 	for i, n := range nodes {
 		ids[i] = n.ID
@@ -215,7 +214,7 @@ func InitCyclon(e *sim.Engine, slot, c, l int) {
 			k = len(ids) - 1
 		}
 		peers := make([]sim.NodeID, 0, k)
-		for _, idx := range e.RNG().Sample(len(ids), k+1) {
+		for _, idx := range r.Sample(len(ids), k+1) {
 			if ids[idx] != n.ID && len(peers) < k {
 				peers = append(peers, ids[idx])
 			}

@@ -9,7 +9,7 @@ import (
 func buildCyclonNet(seed uint64, n, c, l int) *sim.Engine {
 	e := sim.NewEngine(seed)
 	e.AddNodes(n)
-	InitCyclon(e, 0, c, l)
+	InitCyclon(e.LiveNodes(), e.RNG(), 0, c, l)
 	return e
 }
 
@@ -45,7 +45,7 @@ func TestCyclonInDegreeTighterThanNewscast(t *testing.T) {
 
 	en := sim.NewEngine(3)
 	en.AddNodes(300)
-	InitNewscast(en, 0, 20)
+	InitNewscast(en.LiveNodes(), en.RNG(), 0, 20)
 	en.Run(40)
 	inN, _ := DegreeStats(Snapshot(en, 0))
 

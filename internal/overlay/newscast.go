@@ -167,14 +167,14 @@ func (nc *Newscast) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Messa
 }
 
 // InitNewscast wires a Newscast instance into protocol slot `slot` of every
-// node of e, bootstrapping each view with up to c random peers chosen by the
-// engine RNG. Call after all initial nodes are added; newly joining nodes
-// (churn) get their instance from the node factory and bootstrap lazily via
-// exchanges initiated by others... but since a joiner with an empty view can
-// never initiate, factories should call BootstrapFrom with at least one
-// known node, mirroring a real deployment's bootstrap server.
-func InitNewscast(e *sim.Engine, slot, c int) {
-	nodes := e.LiveNodes()
+// node in nodes, bootstrapping each view with up to c random peers of the
+// set chosen by r (the engine RNG, on either engine). Call after all
+// initial nodes are added; newly joining nodes (churn) get their instance
+// from the node factory and bootstrap lazily via exchanges initiated by
+// others... but since a joiner with an empty view can never initiate,
+// factories should call Bootstrap with at least one known node, mirroring
+// a real deployment's bootstrap server.
+func InitNewscast(nodes []*sim.Node, r *rng.RNG, slot, c int) {
 	ids := make([]sim.NodeID, len(nodes))
 	for i, n := range nodes {
 		ids[i] = n.ID
@@ -187,7 +187,7 @@ func InitNewscast(e *sim.Engine, slot, c int) {
 			k = len(ids) - 1
 		}
 		peers := make([]sim.NodeID, 0, k)
-		for _, idx := range e.RNG().Sample(len(ids), k+1) {
+		for _, idx := range r.Sample(len(ids), k+1) {
 			if ids[idx] != n.ID && len(peers) < k {
 				peers = append(peers, ids[idx])
 			}

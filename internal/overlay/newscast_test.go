@@ -10,7 +10,7 @@ import (
 func buildNewscastNet(seed uint64, n, c int) *sim.Engine {
 	e := sim.NewEngine(seed)
 	e.AddNodes(n)
-	InitNewscast(e, 0, c)
+	InitNewscast(e.LiveNodes(), e.RNG(), 0, c)
 	// Churn-joined nodes also need an instance: bootstrap from a random
 	// live node, as a real deployment's bootstrap service would.
 	e.SetNodeFactory(func(nd *sim.Node) {

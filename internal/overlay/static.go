@@ -178,11 +178,11 @@ func SmallWorld(k int, beta float64) Topology {
 	}
 }
 
-// InitStatic wires Static samplers built from topo into protocol slot
-// `slot` of every live node of e. Node index order follows e.LiveNodes().
-func InitStatic(e *sim.Engine, slot int, topo Topology) {
-	nodes := e.LiveNodes()
-	links := topo(e.RNG(), len(nodes))
+// InitStatic wires Static samplers built from topo (drawing from r) into
+// protocol slot `slot` of every node in nodes; topology index i is
+// nodes[i].
+func InitStatic(nodes []*sim.Node, r *rng.RNG, slot int, topo Topology) {
+	links := topo(r, len(nodes))
 	for i, n := range nodes {
 		peers := make([]sim.NodeID, 0, len(links[i]))
 		for _, j := range links[i] {

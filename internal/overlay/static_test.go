@@ -171,7 +171,7 @@ func TestStaticSampler(t *testing.T) {
 func TestInitStatic(t *testing.T) {
 	e := sim.NewEngine(4)
 	e.AddNodes(16)
-	InitStatic(e, 0, Ring)
+	InitStatic(e.LiveNodes(), e.RNG(), 0, Ring)
 	g := Snapshot(e, 0)
 	if !IsConnected(g) {
 		t.Fatal("InitStatic ring disconnected")
@@ -186,7 +186,7 @@ func TestInitStatic(t *testing.T) {
 func TestSnapshotSkipsDeadTargets(t *testing.T) {
 	e := sim.NewEngine(5)
 	e.AddNodes(3)
-	InitStatic(e, 0, FullMesh)
+	InitStatic(e.LiveNodes(), e.RNG(), 0, FullMesh)
 	e.Crash(2)
 	g := Snapshot(e, 0)
 	if len(g) != 2 {

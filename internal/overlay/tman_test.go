@@ -10,7 +10,7 @@ import (
 func buildTManNet(seed uint64, n, c int) *sim.Engine {
 	e := sim.NewEngine(seed)
 	e.AddNodes(n)
-	InitNewscast(e, 0, 20)
+	InitNewscast(e.LiveNodes(), e.RNG(), 0, 20)
 	InitTMan(e, 1, 0, c, RingDistance(n))
 	return e
 }
@@ -288,7 +288,7 @@ func TestTManWorkerInvariant(t *testing.T) {
 		e.SetWorkers(workers)
 		e.SetApplyWorkers(applyWorkers)
 		e.AddNodes(64)
-		InitNewscast(e, 0, 20)
+		InitNewscast(e.LiveNodes(), e.RNG(), 0, 20)
 		InitTMan(e, 1, 0, 4, RingDistance(64))
 		e.Run(20)
 		out := make([][]sim.NodeID, 0, 64)

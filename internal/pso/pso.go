@@ -228,15 +228,16 @@ func (s *Swarm) Evals() int64 { return s.evals }
 func (s *Swarm) Best() ([]float64, float64) { return s.g, s.fg }
 
 // Inject offers a remote best (the coordination service's gossip payload).
-// It is adopted as the swarm optimum when strictly better; a NaN fitness
-// is never adopted, not even by a swarm with no optimum yet, since NaN
-// would compare false against every later point. It reports whether
+// It is adopted as the swarm optimum when strictly better; a NaN or -Inf
+// fitness is never adopted, not even by a swarm with no optimum yet: NaN
+// would compare false against every later point, and nothing could ever
+// beat -Inf. It reports whether
 // adoption happened. The position is copied into the swarm-owned
 // buffer in place — gossip hands a node many adoptions per run, and a
 // fresh clone per adoption was a measurable share of steady-state
 // allocations at large populations.
 func (s *Swarm) Inject(x []float64, fx float64) bool {
-	if math.IsNaN(fx) || (s.g != nil && fx >= s.fg) {
+	if !(fx > math.Inf(-1)) || (s.g != nil && fx >= s.fg) {
 		return false
 	}
 	if len(x) != s.dim {

@@ -110,7 +110,7 @@ func newSubstrate(s Spec, seed uint64, opts Options, mk func(n *sim.Node) sim.Pr
 		eng.SetApplyWorkers(opts.ApplyWorkers)
 	}
 	nodes := eng.AddNodes(s.Nodes)
-	core.InitTopology(eng, core.SlotTopology, topo, s.Stack.ViewSize)
+	core.InitTopology(nodes, eng.RNG(), core.SlotTopology, topo, s.Stack.ViewSize)
 	for _, n := range nodes {
 		for len(n.Protocols) <= protoSlot {
 			n.Protocols = append(n.Protocols, nil)

@@ -8,6 +8,7 @@ import (
 	"gossipopt/internal/core"
 	"gossipopt/internal/exp"
 	"gossipopt/internal/funcs"
+	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
 )
 
@@ -291,33 +292,26 @@ func runParallel(spec Spec, base uint64, reps int, opts Options, sink exp.Sink) 
 	return summaries, sink.Flush()
 }
 
-// runCycleRep compiles the spec onto the cycle engine — the optimizer
+// newCycleNet compiles the spec onto the cycle engine: the optimizer
 // network, or one of the epidemic-protocol networks when stack.protocol
-// says so — and runs one repetition. Spec names are pre-validated, so
-// registry lookups cannot fail here.
-func runCycleRep(s Spec, seed uint64, rep int, opts Options, sink exp.Sink) (RepSummary, error) {
-	var net cycleNet
+// says so. Spec names are pre-validated, so registry lookups cannot fail
+// here.
+func newCycleNet(s Spec, seed uint64, opts Options) cycleNet {
 	if mkNet, ok := protocolBuilders[s.Stack.Protocol]; ok {
-		net = mkNet(s, seed, opts)
-	} else {
-		fn, _ := funcs.ByName(s.Stack.Function)
-		topo, _ := core.TopologyByName(s.Stack.Topology)
-		factory, _ := core.SolversByName(s.Stack.Solvers, s.Stack.Particles)
-		net = optNet{core.NewNetwork(core.Config{
-			Nodes:         s.Nodes,
-			Particles:     s.Stack.Particles,
-			GossipEvery:   gossipEvery(s.Stack.GossipEvery),
-			ViewSize:      s.Stack.ViewSize,
-			Function:      fn,
-			Dim:           s.Stack.Dim,
-			Seed:          seed,
-			Topology:      topo,
-			SolverFactory: factory,
-			DropProb:      s.Stack.DropProb,
-			Workers:       opts.Workers,
-			ApplyWorkers:  opts.ApplyWorkers,
-		})}
+		return mkNet(s, seed, opts)
 	}
+	return optNet{core.NewNetwork(optConfig(s, seed, opts))}
+}
+
+// newEventNet compiles the spec's optimizer stack onto the event engine.
+func newEventNet(s Spec, seed uint64) *core.EventNetwork {
+	return core.NewEventNetwork(optConfig(s, seed, Options{}),
+		s.Stack.EvalTime, s.Stack.NewscastPeriod, toUniformLink(s.Stack.Link))
+}
+
+// runCycleRep runs one repetition of the spec on the cycle engine.
+func runCycleRep(s Spec, seed uint64, rep int, opts Options, sink exp.Sink) (RepSummary, error) {
+	net := newCycleNet(s, seed, opts)
 	eng := net.Engine()
 	// Campaigns build one engine per repetition; release its worker pool
 	// deterministically instead of waiting for the finalizer backstop.
@@ -400,6 +394,29 @@ func runCycleRep(s Spec, seed uint64, rep int, opts Options, sink exp.Sink) (Rep
 	return sum, nil
 }
 
+// optConfig compiles the spec's optimizer stack into the core
+// configuration both engines build from (the event engine ignores the
+// worker counts).
+func optConfig(s Spec, seed uint64, opts Options) core.Config {
+	fn, _ := funcs.ByName(s.Stack.Function)
+	topo, _ := core.TopologyByName(s.Stack.Topology)
+	factory, _ := core.SolversByName(s.Stack.Solvers, s.Stack.Particles)
+	return core.Config{
+		Nodes:         s.Nodes,
+		Particles:     s.Stack.Particles,
+		GossipEvery:   gossipEvery(s.Stack.GossipEvery),
+		ViewSize:      s.Stack.ViewSize,
+		Function:      fn,
+		Dim:           s.Stack.Dim,
+		Seed:          seed,
+		Topology:      topo,
+		SolverFactory: factory,
+		DropProb:      s.Stack.DropProb,
+		Workers:       opts.Workers,
+		ApplyWorkers:  opts.ApplyWorkers,
+	}
+}
+
 // recoveryAhead reports whether any remaining scripted event can bring
 // nodes back to life.
 func recoveryAhead(events []Event) bool {
@@ -473,42 +490,61 @@ func byzBehavior(name string) sim.ByzBehavior {
 	return 0
 }
 
-// applyCycleEvent fires one scripted event on the cycle engine, before the
-// cycle it names runs. All random choices draw from the engine RNG on the
-// coordinator goroutine, so scripted runs stay worker-invariant. scratch is
-// the caller's reusable node buffer: event scans snapshot into it instead
-// of allocating a fresh slice per scripted event.
-func applyCycleEvent(eng *sim.Engine, ns *netState, ev Event, scratch *[]*sim.Node) {
+// host is what the scripted events common to both engines need.
+type host interface {
+	RNG() *rng.RNG
+	Size() int
+	Node(id sim.NodeID) *sim.Node
+	AppendLiveNodes(buf []*sim.Node) []*sim.Node
+	Crash(id sim.NodeID)
+	Revive(id sim.NodeID)
+	SetDeliveryFilter(f sim.DeliveryFilter)
+}
+
+// applyHostEvent fires a crash, revive, partition or heal event on either
+// engine and reports whether ev was one of them. Random choices draw from
+// the engine RNG on the coordinator goroutine, so scripted runs stay
+// worker-invariant. scratch is the caller's reusable node buffer: crash
+// scans snapshot into it instead of allocating a fresh slice per event.
+func applyHostEvent(h host, ev Event, scratch *[]*sim.Node) bool {
 	switch ev.Action {
 	case "crash":
-		live := eng.AppendLiveNodes((*scratch)[:0])
+		live := h.AppendLiveNodes((*scratch)[:0])
 		*scratch = live
 		kill := eventCount(ev, len(live))
-		perm := eng.RNG().Perm(len(live))
+		perm := h.RNG().Perm(len(live))
 		for i := 0; i < kill && i < len(perm); i++ {
-			eng.Crash(live[perm[i]].ID)
-		}
-	case "join":
-		for i := 0; i < ev.Count; i++ {
-			eng.AddNode()
+			h.Crash(live[perm[i]].ID)
 		}
 	case "revive":
 		left := ev.Count
-		all := eng.AppendAllNodes((*scratch)[:0])
-		*scratch = all
-		for _, n := range all {
-			if left == 0 {
-				break
-			}
-			if !n.Alive {
-				eng.Revive(n.ID)
+		for id := sim.NodeID(0); left > 0 && int(id) < h.Size(); id++ {
+			if !h.Node(id).Alive {
+				h.Revive(id)
 				left--
 			}
 		}
 	case "partition":
-		eng.SetDeliveryFilter(partitionFilter(ev))
+		h.SetDeliveryFilter(partitionFilter(ev))
 	case "heal":
-		eng.SetDeliveryFilter(nil)
+		h.SetDeliveryFilter(nil)
+	default:
+		return false
+	}
+	return true
+}
+
+// applyCycleEvent fires one scripted event on the cycle engine, before the
+// cycle it names runs.
+func applyCycleEvent(eng *sim.Engine, ns *netState, ev Event, scratch *[]*sim.Node) {
+	if applyHostEvent(eng, ev, scratch) {
+		return
+	}
+	switch ev.Action {
+	case "join":
+		for i := 0; i < ev.Count; i++ {
+			eng.AddNode()
+		}
 	case "link-model":
 		spec := ev.Model
 		if spec == nil {
@@ -561,30 +597,11 @@ func eventCount(ev Event, n int) int {
 	return k
 }
 
-// runEventRep compiles the spec onto the event engine and runs one
-// repetition. Breakpoints — scripted events, metric samples, the horizon —
-// partition simulated time; the engine runs to each in turn.
+// runEventRep runs one repetition of the spec on the event engine.
+// Breakpoints — scripted events, metric samples, the horizon — partition
+// simulated time; the engine runs to each in turn.
 func runEventRep(s Spec, seed uint64, rep int, sink exp.Sink) (RepSummary, error) {
-	fn, _ := funcs.ByName(s.Stack.Function)
-	factory, _ := core.SolversByName(s.Stack.Solvers, s.Stack.Particles)
-
-	var link sim.LinkModel
-	if s.Stack.Link != nil {
-		link = toUniformLink(s.Stack.Link)
-	}
-	net := core.NewAsyncNetwork(core.AsyncConfig{
-		Nodes:          s.Nodes,
-		Particles:      s.Stack.Particles,
-		GossipEvery:    gossipEvery(s.Stack.GossipEvery),
-		ViewSize:       s.Stack.ViewSize,
-		Function:       fn,
-		Dim:            s.Stack.Dim,
-		Seed:           seed,
-		SolverFactory:  factory,
-		EvalTime:       s.Stack.EvalTime,
-		NewscastPeriod: s.Stack.NewscastPeriod,
-		Link:           link,
-	})
+	net := newEventNet(s, seed)
 	eng := net.Engine()
 
 	var sampleIdx int64
@@ -597,10 +614,11 @@ func runEventRep(s Spec, seed uint64, rep int, sink exp.Sink) (RepSummary, error
 			Seed:      seed,
 			Cycle:     sampleIdx,
 			Time:      at,
-			Live:      net.LiveCount(),
+			Live:      eng.LiveCount(),
 			Evals:     net.TotalEvals(),
 			Quality:   net.Quality(),
 			Exchanges: m.Exchanges,
+			Lost:      m.LostExchanges,
 			Adoptions: m.Adoptions,
 			Delivered: eng.Delivered(),
 			Dropped:   eng.Dropped(),
@@ -633,7 +651,7 @@ func runEventRep(s Spec, seed uint64, rep int, sink exp.Sink) (RepSummary, error
 		eng.AdvanceTo(next)
 		now = next
 		if hasEvent {
-			applyEventEvent(net, eng, s.Timeline[ei], s.Stack.Link, &evScratch)
+			applyEventEvent(eng, s.Timeline[ei], s.Stack.Link, &evScratch)
 			ei++
 		}
 		if isSample {
@@ -679,40 +697,18 @@ func toUniformLink(l *Link) sim.UniformLink {
 }
 
 // applyEventEvent fires one scripted event on the event engine. baseline
-// is the spec's initial link model: a set-link without an explicit link
-// restores it (ending a storm means back to normal, not back to a perfect
-// network).
-func applyEventEvent(net *core.AsyncNetwork, eng *sim.EventEngine, ev Event, baseline *Link, scratch *[]*sim.Node) {
-	switch ev.Action {
-	case "crash":
-		live := eng.AppendLiveNodes((*scratch)[:0])
-		*scratch = live
-		kill := eventCount(ev, len(live))
-		perm := eng.RNG().Perm(len(live))
-		for i := 0; i < kill && i < len(perm); i++ {
-			eng.Crash(live[perm[i]].ID)
-		}
-	case "revive":
-		left := ev.Count
-		for i := 0; i < net.Size() && left > 0; i++ {
-			if n := eng.Node(sim.NodeID(i)); n != nil && !n.Alive {
-				net.Revive(i)
-				left--
-			}
-		}
-	case "partition":
-		eng.SetDeliveryFilter(partitionFilter(ev))
-	case "heal":
-		eng.SetDeliveryFilter(nil)
-	case "set-link":
+// is the spec's initial link model (normalization always sets one): a
+// set-link without an explicit link restores it (ending a storm means back
+// to normal, not back to a perfect network).
+func applyEventEvent(eng *sim.EventEngine, ev Event, baseline *Link, scratch *[]*sim.Node) {
+	if applyHostEvent(eng, ev, scratch) {
+		return
+	}
+	if ev.Action == "set-link" {
 		link := ev.Link
 		if link == nil {
 			link = baseline
 		}
-		if link != nil {
-			eng.SetLink(toUniformLink(link))
-		} else {
-			eng.SetLink(nil)
-		}
+		eng.SetLink(toUniformLink(link))
 	}
 }

@@ -3,10 +3,14 @@ package scenario
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"gossipopt/internal/core"
 	"gossipopt/internal/exp"
+	"gossipopt/internal/overlay"
+	"gossipopt/internal/sim"
 )
 
 // captureSink records every emitted Record for inspection.
@@ -675,5 +679,109 @@ func TestRunDoesNotMutateCallerSpec(t *testing.T) {
 	}
 	if spec.Timeline[0].Action != "heal" || spec.Timeline[1].Action != "partition" {
 		t.Fatalf("Run reordered the caller's timeline: %+v", spec.Timeline)
+	}
+}
+
+// TestEventEngineGossipEveryNegativeDisablesCoordination: gossip_every < 0
+// turns coordination off on the event engine as on the cycle engine — no
+// exchange is initiated and nothing is adopted.
+func TestEventEngineGossipEveryNegativeDisablesCoordination(t *testing.T) {
+	spec, _ := Builtin("lossy-wan")
+	spec.Stack.GossipEvery = -1
+	spec.Timeline = nil
+	spec.Stop.Time = 50
+	var sink captureSink
+	if _, err := Run(spec, Options{}, &sink); err != nil {
+		t.Fatal(err)
+	}
+	last := sink.recs[len(sink.recs)-1]
+	if last.Exchanges != 0 || last.Adoptions != 0 {
+		t.Fatalf("gossip_every -1 still gossips: %d exchanges, %d adoptions", last.Exchanges, last.Adoptions)
+	}
+	if last.Evals == 0 {
+		t.Fatal("no evaluations")
+	}
+}
+
+// TestTopologyHonoredOnBothEngines: the slot-0 service of a compiled
+// network is the one stack.topology names, on either engine.
+func TestTopologyHonoredOnBothEngines(t *testing.T) {
+	const n = 16
+	for _, topo := range core.TopologyNames() {
+		for _, engine := range []string{EngineCycle, EngineEvent} {
+			s, err := Spec{Name: "topo", Engine: engine, Nodes: n, Stack: Stack{Topology: topo}}.normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var node *sim.Node
+			if engine == EngineCycle {
+				net := newCycleNet(s, 1, Options{})
+				defer net.Engine().Close()
+				node = net.Engine().Node(0)
+			} else {
+				node = newEventNet(s, 1).Engine().Node(0)
+			}
+			sampler := node.Protocol(core.SlotTopology)
+			var ok bool
+			switch topo {
+			case "newscast":
+				_, ok = sampler.(*overlay.Newscast)
+			case "cyclon":
+				_, ok = sampler.(*overlay.Cyclon)
+			default:
+				_, ok = sampler.(*overlay.Static)
+			}
+			if !ok {
+				t.Fatalf("%s engine, topology %q: slot 0 holds %T", engine, topo, sampler)
+			}
+			degree := len(sampler.(overlay.PeerSampler).Neighbors())
+			if want := map[string]int{"ring": 2, "star": n - 1, "full": n - 1}[topo]; want != 0 && degree != want {
+				t.Fatalf("%s engine, topology %q: node 0 has %d neighbors, want %d", engine, topo, degree, want)
+			}
+		}
+	}
+}
+
+// TestEventLinkDefaultIsTheBaseline: normalization fills an omitted
+// stack.link with the default once (an explicit link, zero fields
+// included, stays as written), and a bare set-link restores that default
+// — so a spec without a link runs exactly like one spelling the default.
+func TestEventLinkDefaultIsTheBaseline(t *testing.T) {
+	base := Spec{
+		Name: "link", Engine: EngineEvent, Nodes: 8, Seed: 3,
+		Timeline: []Event{
+			{At: 20, Action: "set-link", Link: &Link{MinDelay: 5, MaxDelay: 5}},
+			{At: 40, Action: "set-link"},
+		},
+		MetricsEvery: 10,
+		Stop:         Stop{Time: 80},
+	}
+	s, err := base.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *s.Stack.Link != (Link{MinDelay: 0.1, MaxDelay: 1}) {
+		t.Fatalf("default link = %+v", *s.Stack.Link)
+	}
+	if again, _ := s.normalized(); !reflect.DeepEqual(again, s) {
+		t.Fatal("normalization is not idempotent")
+	}
+	explicit := base
+	explicit.Stack.Link = &Link{MaxDelay: 1}
+	if s, _ := explicit.normalized(); *s.Stack.Link != (Link{MaxDelay: 1}) {
+		t.Fatalf("explicit link rewritten to %+v", *s.Stack.Link)
+	}
+
+	render := func(s Spec) []exp.Record {
+		var sink captureSink
+		if _, err := Run(s, Options{}, &sink); err != nil {
+			t.Fatal(err)
+		}
+		return sink.recs
+	}
+	spelled := base
+	spelled.Stack.Link = &Link{MinDelay: 0.1, MaxDelay: 1}
+	if !reflect.DeepEqual(render(base), render(spelled)) {
+		t.Fatal("a spec without stack.link runs differently from one spelling the default")
 	}
 }

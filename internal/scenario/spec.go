@@ -90,8 +90,9 @@ type Stack struct {
 	// 1 and 10 time units).
 	EvalTime       float64 `json:"eval_time,omitempty"`
 	NewscastPeriod float64 `json:"newscast_period,omitempty"`
-	// Link is the event engine's initial link model (default: latency
-	// uniform in [0.1, 1], no loss).
+	// Link is the event engine's initial link model. When omitted as a
+	// whole, normalization sets latency uniform in [0.1, 1] and no loss;
+	// a link that is given keeps its fields as written (zero included).
 	Link *Link `json:"link,omitempty"`
 	// Net is the cycle engine's baseline per-link network model (loss,
 	// cycle-granular delay, correlated regional outages); link-model
@@ -289,6 +290,12 @@ func (s Spec) normalized() (Spec, error) {
 		}
 		if err := s.Stack.Link.validate(); err != nil {
 			return s, fmt.Errorf("scenario %q: stack.link: %w", s.Name, err)
+		}
+		// The one place the default link is set. Filled only when absent,
+		// so normalizing twice is a no-op, and a set-link event without a
+		// link always has a baseline to restore.
+		if s.Stack.Link == nil {
+			s.Stack.Link = &Link{MinDelay: 0.1, MaxDelay: 1}
 		}
 		if s.Stack.EvalTime <= 0 {
 			s.Stack.EvalTime = 1

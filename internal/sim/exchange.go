@@ -54,10 +54,11 @@ type Message struct {
 	// failure must be reported back.
 	Slot int
 	// Data is the protocol-specific payload. Ownership transfers to the
-	// receiver: proposers must not retain or mutate it after Send. A
-	// payload implementing Recyclable returns to its free list when the
-	// cycle ends (see freelist.go for the full ownership rules), so
-	// handlers must not retain it — or slices inside it — across cycles.
+	// receiver: proposers must not retain or mutate it after Send. On the
+	// cycle engine a payload implementing Recyclable returns to its free
+	// list when the cycle ends (see freelist.go for the full ownership
+	// rules), so handlers must not retain it — or slices inside it —
+	// across cycles.
 	Data any
 	// redelivered marks a leg re-entering a later cycle after a net-model
 	// delay (see netmodel.go): it is re-checked against liveness and the
@@ -107,8 +108,9 @@ type Proposals struct {
 	evals int64
 }
 
-// Cycle returns the number of completed cycles, i.e. the logical timestamp
-// of the cycle being proposed.
+// Cycle returns the logical timestamp of the proposal: the number of
+// completed cycles on the cycle engine, simulated time in 1/1024 units on
+// the event engine.
 func (px *Proposals) Cycle() int64 { return px.cycle }
 
 // Send proposes an exchange: data will be delivered to the given protocol
@@ -121,7 +123,8 @@ func (px *Proposals) Send(to NodeID, slot int, data any) {
 }
 
 // CountEvals adds k objective evaluations to the engine's global counter
-// (aggregated race-free at the phase barrier; see Engine.Evals).
+// (aggregated race-free at the phase barrier; see Engine.Evals and
+// EventEngine.Evals).
 func (px *Proposals) CountEvals(k int64) { px.evals += k }
 
 // begin readies the outbox for the next node of the worker's shard.
@@ -136,14 +139,15 @@ type followUp struct {
 }
 
 // ApplyContext is the restricted per-worker context handed to phase-2
-// handlers (Receive/Undelivered). It deliberately does not expose the
-// engine: a handler sees only the node it was invoked on, the logical
-// cycle time, read-only liveness (frozen for the duration of the apply
-// phase), counters, and an outbox for follow-up messages. That restriction
-// is what makes the apply phase shardable by destination.
+// handlers (Receive/Undelivered), on either engine. It deliberately does
+// not expose the engine: a handler sees only the node it was invoked on,
+// the logical time, read-only liveness (frozen for the duration of the
+// cycle engine's apply phase), counters, and an outbox for follow-up
+// messages. That restriction is what makes the apply phase shardable by
+// destination.
 type ApplyContext struct {
-	engine *Engine
-	cycle  int64
+	arena *nodeArena
+	cycle int64
 	// self is the node currently being handled; follow-ups are sent from
 	// it.
 	self NodeID
@@ -155,21 +159,22 @@ type ApplyContext struct {
 
 // reset readies the context for a new apply round.
 func (ax *ApplyContext) reset(e *Engine, cycle int64) {
-	ax.engine = e
+	ax.arena = &e.arena
 	ax.cycle = cycle
 	ax.outbox = ax.outbox[:0]
 	ax.evals = 0
 }
 
-// Cycle returns the number of completed cycles, i.e. the logical timestamp
-// of the cycle being applied (the same stamp Propose saw).
+// Cycle returns the logical timestamp of the delivery, in the units of
+// Proposals.Cycle (on the cycle engine, the same stamp Propose saw).
 func (ax *ApplyContext) Cycle() int64 { return ax.cycle }
 
-// Send posts a follow-up message from the handled node, delivered in the
-// next apply round of the same cycle — the reply leg of a symmetric
-// exchange. Ownership of data transfers to the receiver, exactly as with
-// Proposals.Send. Follow-ups are re-canonicalized across workers by the
-// triggering message's canonical index, so their delivery order is
+// Send posts a follow-up message from the handled node — the reply leg of
+// a symmetric exchange. The cycle engine delivers it in the next apply
+// round of the same cycle; the event engine sends it as a new leg, subject
+// to the link. Ownership of data transfers to the receiver, exactly as
+// with Proposals.Send. Follow-ups are re-canonicalized across workers by
+// the triggering message's canonical index, so their delivery order is
 // independent of the apply worker count.
 func (ax *ApplyContext) Send(to NodeID, slot int, data any) {
 	ax.outbox = append(ax.outbox, followUp{
@@ -185,7 +190,7 @@ func (ax *ApplyContext) Send(to NodeID, slot int, data any) {
 // it in Undelivered to distinguish a confirmed crash (tombstone) from an
 // unreachable, partitioned peer (re-adopted after the heal).
 func (ax *ApplyContext) Alive(id NodeID) bool {
-	n := ax.engine.arena.at(id)
+	n := ax.arena.at(id)
 	return n != nil && n.Alive
 }
 

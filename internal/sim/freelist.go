@@ -32,6 +32,12 @@ import (
 //     free list cannot be a package variable) keeps that one field across
 //     the reset; the ownership analyzer knows the exemption.
 //
+// Only the cycle engine recycles. On the event engine a reply may alias
+// its request's slices (Cyclon's echo) and arrives a latency later, long
+// after the request was handled, so the event engine never calls Recycle:
+// its payloads are drawn from the same lists but left to the garbage
+// collector once delivered, exactly like freshly allocated ones.
+//
 // The list holds strong references in mutex-guarded per-shard stacks, NOT
 // a sync.Pool: pool contents are released at every GC, and a million-node
 // cycle that still allocates makes GCs frequent enough that the pool was
@@ -44,8 +50,8 @@ import (
 // propose or apply workers draw concurrently.
 
 // Recyclable is the opt-in recycling contract for message payloads. The
-// engine calls Recycle exactly once per sent payload, at the end of the
-// cycle that delivered (or dropped) it, after every handler has run.
+// cycle engine calls Recycle exactly once per sent payload, at the end of
+// the cycle that delivered (or dropped) it, after every handler has run.
 type Recyclable interface {
 	Recycle()
 }

@@ -84,76 +84,79 @@ func TestEnginePartitionSameSideUnaffected(t *testing.T) {
 }
 
 // TestEventEnginePartitionAndHeal is the event-engine regression test:
-// messages across a partition are dropped (including ones already in
-// flight) and delivery resumes after the heal.
+// legs across a partition are dropped at arrival (including ones already
+// in flight when it forms) and bounce to the sender, which sees the peer
+// unreachable but alive; timers are never filtered; delivery resumes
+// after the heal.
 func TestEventEnginePartitionAndHeal(t *testing.T) {
-	e := NewEventEngine(23, nil)
-	ha, hb := &echoHandler{}, &echoHandler{}
-	a := e.AddNode(ha) // island 0
-	b := e.AddNode(hb) // island 1
+	e, pa, pb := newTickPair(23, UniformLink{MinDelay: 1, MaxDelay: 1}, 1)
+	e.RunUntil(10, 1<<20)
+	e.AdvanceTo(10)
+	if len(pb.got) == 0 {
+		t.Fatal("nothing delivered before the partition")
+	}
+	inFlight := len(pa.ticks) - len(pb.got)
+	got, ticks := len(pb.got), len(pb.ticks)
 
-	// In flight before the partition forms, arriving during it: dropped.
-	e.SendAfter(5, a.ID, "pre-split") // timer-style self msg, never filtered
-	e.Send(a.ID, b.ID, "in-flight")   // zero-latency here, but deliver after filter set
-	e.SetDeliveryFilter(SplitGroups(2))
-	e.Send(a.ID, b.ID, "during-split")
-	for e.Step() {
+	e.SetDeliveryFilter(SplitGroups(2)) // a on island 0, b on island 1
+	e.RunUntil(30, 1<<20)
+	e.AdvanceTo(30)
+	if len(pb.got) != got {
+		t.Fatalf("%d cross-partition legs delivered", len(pb.got)-got)
 	}
-	if len(hb.got) != 0 {
-		t.Fatalf("cross-partition messages delivered: %v", hb.got)
+	if len(pb.ticks)-ticks < 15 {
+		t.Fatalf("partition filtered timers: %d ticks in 20 time units", len(pb.ticks)-ticks)
 	}
-	if len(ha.got) != 1 || ha.got[0] != "pre-split" {
-		t.Fatalf("self-timer filtered: %v", ha.got)
+	if inFlight == 0 || len(pa.failed) < 15 {
+		t.Fatalf("%d legs were in flight, %d bounced", inFlight, len(pa.failed))
 	}
-	if e.Dropped() != 2 {
-		t.Fatalf("Dropped=%d, want 2", e.Dropped())
+	for _, alive := range pa.failedAlive {
+		if !alive {
+			t.Fatal("ax.Alive reported a partitioned peer dead")
+		}
 	}
 
-	// Heal: delivery resumes.
 	e.SetDeliveryFilter(nil)
-	e.Send(a.ID, b.ID, "after-heal")
-	for e.Step() {
+	failed := len(pa.failed)
+	e.RunUntil(40, 1<<20)
+	if len(pb.got)-got < 5 {
+		t.Fatalf("delivery did not resume after the heal: %d legs", len(pb.got)-got)
 	}
-	if len(hb.got) != 1 || hb.got[0] != "after-heal" {
-		t.Fatalf("delivery did not resume after heal: %v", hb.got)
+	// Only legs that arrived before the heal could still bounce.
+	if len(pa.failed) > failed+1 {
+		t.Fatalf("%d legs bounced after the heal", len(pa.failed)-failed)
 	}
 }
 
 func TestEventEngineReviveAndSetLink(t *testing.T) {
-	e := NewEventEngine(24, nil)
-	h := &echoHandler{}
-	n := e.AddNode(h)
-	e.Crash(n.ID)
-	e.Send(n.ID, n.ID, "while-dead")
-	for e.Step() {
+	e, pa, pb := newTickPair(24, nil, 1)
+	e.Crash(1)
+	e.RunUntil(10, 1<<20)
+	e.AdvanceTo(10)
+	if len(pb.got) != 0 {
+		t.Fatalf("dead node received %d legs", len(pb.got))
 	}
-	if len(h.got) != 0 {
-		t.Fatalf("dead node received %v", h.got)
-	}
-	e.Revive(n.ID)
-	if !e.Node(n.ID).Alive {
+	e.Revive(1)
+	if !e.Node(1).Alive {
 		t.Fatal("Revive did not mark node alive")
 	}
-	e.Send(n.ID, n.ID, "after-revive")
-	for e.Step() {
-	}
-	if len(h.got) != 1 || h.got[0] != "after-revive" {
-		t.Fatalf("revived node got %v", h.got)
+	e.RunUntil(20, 1<<20)
+	e.AdvanceTo(20)
+	if len(pb.got) == 0 || len(pb.ticks) == 0 {
+		t.Fatalf("revived node got %d legs, ticked %d times", len(pb.got), len(pb.ticks))
 	}
 
-	// SetLink swaps the model in force for subsequent sends.
+	// SetLink swaps the model in force for subsequent legs.
 	e.SetLink(UniformLink{MinDelay: 10, MaxDelay: 10})
-	before := e.Now()
-	e.Send(n.ID, n.ID, "slow")
-	e.Step()
-	if e.Now()-before != 10 {
-		t.Fatalf("latency after SetLink: %v, want 10", e.Now()-before)
+	got := len(pb.got)
+	e.RunUntil(40, 1<<20)
+	for i := got; i < len(pb.got); i++ {
+		sent := pa.ticks[pb.got[i].Data.(int)-1]
+		if lat := pb.gotAt[i] - sent; lat < 10*1024-1 || lat > 10*1024+1 {
+			t.Fatalf("latency after SetLink: %v, want 10", float64(lat)/1024)
+		}
 	}
-	e.SetLink(nil) // restores the default lossless zero-latency link
-	before = e.Now()
-	e.Send(n.ID, n.ID, "fast")
-	e.Step()
-	if e.Now() != before {
-		t.Fatalf("nil SetLink not zero-latency: %v", e.Now()-before)
+	if len(pb.got) == got {
+		t.Fatal("nothing delivered after SetLink")
 	}
 }

@@ -10,7 +10,10 @@
 //     single-threaded run. This is what the paper's experiments use.
 //   - an event-driven engine (EventEngine, see events.go): a time-ordered
 //     event heap with configurable link latency and message loss, for
-//     experiments where asynchrony matters.
+//     experiments where asynchrony matters. It runs the same protocol
+//     stacks through the same contracts: a periodic timer per protocol
+//     slot calls Propose, and every message leg is delivered (or bounced
+//     back to its sender) at its own arrival time.
 //
 // Determinism: given the same seed, node count and protocol stack, a run
 // produces the identical trace — for any propose-worker and apply-worker
@@ -33,9 +36,8 @@ import (
 // so a crashed node's ID never refers to a different live node later.
 type NodeID int64
 
-// Protocol is one layer of a node's protocol stack in the cycle-driven
-// model. An implementation provides the two-phase exchange contract of
-// exchange.go: Proposer (node-local work on parallel propose workers) and
+// Protocol is one layer of a node's protocol stack, on either engine. An
+// implementation provides the two-phase exchange contract of exchange.go: Proposer (node-local work on parallel propose workers) and
 // usually Receiver/Undeliverable (node-local delivery handling on parallel
 // apply workers). The historical sequential CycleStepper contract is gone:
 // every message of every protocol flows through the mailbox, so delivery

@@ -66,8 +66,10 @@ func newBest() best { return best{f: math.Inf(1)} }
 
 func (b *best) offer(x []float64, f float64) bool {
 	// NaN compares false against everything: adopted once, it would
-	// replace a real best and then let any later point through.
-	if math.IsNaN(f) || f >= b.f {
+	// replace a real best and then let any later point through. -Inf
+	// would refuse every later point, the true optimum included. The one
+	// test !(f > -Inf) rejects both.
+	if !(f > math.Inf(-1)) || f >= b.f {
 		return false
 	}
 	if b.x == nil || len(b.x) != len(x) {
