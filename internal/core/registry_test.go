@@ -95,43 +95,45 @@ func TestInjectRejectsNaN(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
-			t.Run(fmt.Sprintf("%s/%v", name, bad), func(t *testing.T) {
-				fresh := mk(funcs.Sphere, dim, 0, rng.New(1))
-				if fresh.Inject(point(1), bad) {
-					t.Fatalf("fresh solver adopted fitness %v", bad)
-				}
-				if !fresh.Inject(point(1), funcs.Sphere.Eval(point(1))) {
-					t.Fatalf("fresh solver refused a real point after a %v offer", bad)
-				}
+		t.Run(name, func(t *testing.T) {
+			for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+				t.Run(fmt.Sprint(bad), func(t *testing.T) {
+					fresh := mk(funcs.Sphere, dim, 0, rng.New(1))
+					if fresh.Inject(point(1), bad) {
+						t.Fatalf("fresh solver adopted fitness %v", bad)
+					}
+					if !fresh.Inject(point(1), funcs.Sphere.Eval(point(1))) {
+						t.Fatalf("fresh solver refused a real point after a %v offer", bad)
+					}
 
-				s := mk(funcs.Sphere, dim, 0, rng.New(2))
-				for i := 0; i < 64; i++ {
-					s.EvalOne()
-				}
-				_, before := s.Best()
-				if before <= 0 || math.IsNaN(before) {
-					t.Fatalf("unexpected best %v after 64 evaluations", before)
-				}
-				if s.Inject(point(3), bad) {
-					t.Fatalf("fitness %v adopted over a real best", bad)
-				}
-				if _, f := s.Best(); f != before {
-					t.Fatalf("best moved from %v to %v on a %v offer", before, f, bad)
-				}
-				if s.Inject(point(5), 1e300) {
-					t.Fatalf("a far worse point was adopted after a %v offer", bad)
-				}
-				if s.Inject([]float64{0}, -1) {
-					t.Fatal("a point of the wrong dimension was adopted")
-				}
-				if !s.Inject(point(0), 0) {
-					t.Fatalf("a better point was refused after a %v offer", bad)
-				}
-				if _, f := s.Best(); f != 0 {
-					t.Fatalf("best = %v after injecting the optimum, want 0", f)
-				}
-			})
-		}
+					s := mk(funcs.Sphere, dim, 0, rng.New(2))
+					for i := 0; i < 64; i++ {
+						s.EvalOne()
+					}
+					_, before := s.Best()
+					if before <= 0 || math.IsNaN(before) {
+						t.Fatalf("unexpected best %v after 64 evaluations", before)
+					}
+					if s.Inject(point(3), bad) {
+						t.Fatalf("fitness %v adopted over a real best", bad)
+					}
+					if _, f := s.Best(); f != before {
+						t.Fatalf("best moved from %v to %v on a %v offer", before, f, bad)
+					}
+					if s.Inject(point(5), 1e300) {
+						t.Fatalf("a far worse point was adopted after a %v offer", bad)
+					}
+					if s.Inject([]float64{0}, -1) {
+						t.Fatal("a point of the wrong dimension was adopted")
+					}
+					if !s.Inject(point(0), 0) {
+						t.Fatalf("a better point was refused after a %v offer", bad)
+					}
+					if _, f := s.Best(); f != 0 {
+						t.Fatalf("best = %v after injecting the optimum, want 0", f)
+					}
+				})
+			}
+		})
 	}
 }

@@ -270,13 +270,8 @@ func EstimateSize(a *Average) float64 {
 	return 1 / v
 }
 
-// Population is the live node set of either engine.
-type Population interface {
-	ForEachLive(f func(n *sim.Node))
-}
-
 // Sum returns the sum of all live nodes' values (the conserved quantity).
-func Sum(e Population, selfSlot int) float64 {
+func Sum(e *sim.Engine, selfSlot int) float64 {
 	var s float64
 	e.ForEachLive(func(n *sim.Node) {
 		if a, ok := n.Protocol(selfSlot).(*Average); ok {
@@ -287,7 +282,7 @@ func Sum(e Population, selfSlot int) float64 {
 }
 
 // Spread returns max-min of all live nodes' values (convergence measure).
-func Spread(e Population, selfSlot int) float64 {
+func Spread(e *sim.Engine, selfSlot int) float64 {
 	first := true
 	var lo, hi float64
 	e.ForEachLive(func(n *sim.Node) {

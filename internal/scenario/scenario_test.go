@@ -742,10 +742,11 @@ func TestTopologyHonoredOnBothEngines(t *testing.T) {
 	}
 }
 
-// TestEventLinkDefaultIsTheBaseline: normalization fills an omitted
-// stack.link with the default once (an explicit link, zero fields
-// included, stays as written), and a bare set-link restores that default
-// — so a spec without a link runs exactly like one spelling the default.
+// TestEventLinkDefaultIsTheBaseline: normalization fills the event-only
+// defaults — the timer periods, and an omitted stack.link once (an
+// explicit link, zero fields included, stays as written) — and a bare
+// set-link restores that default link, so a spec without a link runs
+// exactly like one spelling the default.
 func TestEventLinkDefaultIsTheBaseline(t *testing.T) {
 	base := Spec{
 		Name: "link", Engine: EngineEvent, Nodes: 8, Seed: 3,
@@ -762,6 +763,9 @@ func TestEventLinkDefaultIsTheBaseline(t *testing.T) {
 	}
 	if *s.Stack.Link != (Link{MinDelay: 0.1, MaxDelay: 1}) {
 		t.Fatalf("default link = %+v", *s.Stack.Link)
+	}
+	if s.Stack.EvalTime != 1 || s.Stack.NewscastPeriod != 10 {
+		t.Fatalf("default timer periods: eval_time=%v newscast_period=%v, want 1 and 10", s.Stack.EvalTime, s.Stack.NewscastPeriod)
 	}
 	if again, _ := s.normalized(); !reflect.DeepEqual(again, s) {
 		t.Fatal("normalization is not idempotent")

@@ -88,9 +88,9 @@ type Receiver interface {
 
 // Undeliverable is implemented by protocols that want failure feedback:
 // Undelivered is invoked on the *sender's* protocol instance when the
-// destination node is dead or unreachable at delivery time (n is the
-// sender) — the failure a real initiator would observe as a timed-out
-// connection. Like Receive it runs on an apply worker and must stay
+// destination node is dead or unreachable at delivery time, or the network
+// lost the leg (n is the sender) — the failure a real initiator would
+// observe as a timed-out connection. Like Receive it runs on an apply worker and must stay
 // node-local; ax.Alive distinguishes a confirmed crash from a peer that
 // is merely unreachable (delivery filter / partition), and ax.Send lets a
 // protocol compensate for a half-completed exchange whose reply leg died.
