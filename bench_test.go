@@ -267,7 +267,7 @@ func BenchmarkEngineMillion(b *testing.B) {
 			n = v
 		}
 	}
-	for _, w := range []int{1, 8} {
+	for _, w := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
 			net := gossipopt.New(gossipopt.Config{
 				Nodes: n, Particles: 2, Dim: 2, GossipEvery: 2,

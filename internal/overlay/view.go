@@ -7,9 +7,6 @@
 package overlay
 
 import (
-	"cmp"
-	"slices"
-
 	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
 )
@@ -25,15 +22,14 @@ type Descriptor struct {
 
 // View is a bounded set of descriptors, at most one per node ID, ordered by
 // freshness (freshest first). The zero value is an empty view.
+//
+// Invariant: items is always in merge order — stamp descending, then mix
+// ascending, then ID ascending. Merge writes it in that order and Remove
+// preserves it (no other method mutates items), which is what lets Merge
+// fold a batch in with one linear pass instead of re-sorting the view.
 type View struct {
 	c     int
 	items []Descriptor
-
-	// Merge scratch space, reused across calls: view exchanges run once
-	// per node per cycle, so per-call allocations dominate Newscast's cost
-	// otherwise.
-	scratch []Descriptor
-	seen    map[sim.NodeID]struct{}
 }
 
 // NewView creates an empty view with capacity c.
@@ -77,14 +73,7 @@ func (v *View) SampleID(r *rng.RNG) (sim.NodeID, bool) {
 }
 
 // Contains reports whether the view holds a descriptor for id.
-func (v *View) Contains(id sim.NodeID) bool {
-	for _, d := range v.items {
-		if d.ID == id {
-			return true
-		}
-	}
-	return false
-}
+func (v *View) Contains(id sim.NodeID) bool { return containsID(v.items, id) }
 
 // Insert merges a single descriptor into the view, keeping at most one
 // descriptor per ID (the freshest) and at most Cap descriptors overall
@@ -103,51 +92,114 @@ func mix(d Descriptor) uint64 {
 	return x ^ x>>29
 }
 
+// mergeStack is the batch length and view capacity up to which Merge
+// works in stack arrays and allocates nothing. Those stay in cache from
+// call to call, unlike per-view buffers, and hold Newscast's
+// c+2-descriptor batches for every c up to 62. Longer batches and larger
+// (or unbounded, zero) capacities merge the same way; append then moves
+// the overflowing array to the heap for that call.
+const mergeStack = 64
+
+// ranked is a merge candidate whose tie-break hash is computed on the
+// first stamp tie that needs it and then reused.
+type ranked struct {
+	Descriptor
+	h      uint64
+	hashed bool
+}
+
+func (r *ranked) hash() uint64 {
+	if !r.hashed {
+		r.h, r.hashed = mix(r.Descriptor), true
+	}
+	return r.h
+}
+
+// before reports whether r precedes o in merge order. The order is total
+// on distinct descriptors (equal keys mean identical values), so a merge
+// result never depends on how candidates were arranged beforehand.
+func (r *ranked) before(o *ranked) bool {
+	if r.Stamp != o.Stamp {
+		return r.Stamp > o.Stamp
+	}
+	if hr, ho := r.hash(), o.hash(); hr != ho {
+		return hr < ho
+	}
+	return r.ID < o.ID
+}
+
 // Merge folds a batch of descriptors into the view under the Newscast rule:
 // drop self-descriptors, deduplicate by ID keeping the freshest stamp, then
 // keep the Cap freshest overall. Ties in freshness break by a deterministic
 // hash of the descriptor so merging is reproducible yet unbiased.
+//
+// The result is that of sorting view and batch together in merge order
+// and keeping the first descriptor of each ID, up to Cap. Since the view
+// is already in that order, only the batch is sorted — by insertion, as
+// Newscast batches are a sorted snapshot plus two fresh descriptors and
+// other batches are short — and then merged with the view in one pass
+// that stops once Cap descriptors are kept. The first occurrence of an ID
+// in merge order is its freshest descriptor, so keep-first deduplication
+// over the at most Cap kept entries selects it. The batch is only read.
 func (v *View) Merge(self sim.NodeID, batch []Descriptor) {
-	v.scratch = v.scratch[:0]
-	v.scratch = append(v.scratch, v.items...)
+	var sorted [mergeStack]ranked
+	b := sorted[:0]
 	for _, d := range batch {
-		if d.ID != self {
-			v.scratch = append(v.scratch, d)
-		}
-	}
-	// Sort freshest first; after sorting, the first occurrence of each ID
-	// is its freshest descriptor, so a single keep-first pass both
-	// deduplicates and selects the Cap freshest. The comparator is total
-	// on distinct descriptors (equal keys mean identical values), so the
-	// sorted output — and with it the merge result — is independent of the
-	// sort algorithm. slices.SortFunc, unlike sort.Slice, does not allocate
-	// (Merge runs twice per node per cycle; the reflection-based closure
-	// was the last steady-state allocation on the Newscast hot path).
-	slices.SortFunc(v.scratch, func(a, b Descriptor) int {
-		if a.Stamp != b.Stamp {
-			return cmp.Compare(b.Stamp, a.Stamp)
-		}
-		if ha, hb := mix(a), mix(b); ha != hb {
-			return cmp.Compare(ha, hb)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	if v.seen == nil {
-		v.seen = make(map[sim.NodeID]struct{}, 2*v.c)
-	}
-	clear(v.seen)
-	out := v.items[:0]
-	for _, d := range v.scratch {
-		if _, dup := v.seen[d.ID]; dup {
+		if d.ID == self {
 			continue
 		}
-		v.seen[d.ID] = struct{}{}
+		r := ranked{Descriptor: d}
+		k := len(b)
+		b = append(b, r)
+		for ; k > 0 && r.before(&b[k-1]); k-- {
+			b[k] = b[k-1]
+		}
+		b[k] = r
+	}
+
+	// The kept descriptors are copied over items at the end; until then
+	// items is still being read.
+	var kept [mergeStack]Descriptor
+	out := kept[:0]
+	// seen filters the keep-first scan: a clear bit proves that no kept
+	// descriptor has the candidate's ID.
+	var seen [4]uint64
+	var head ranked // items[i], hashed at most once however often compared
+	if len(v.items) > 0 {
+		head.Descriptor = v.items[0]
+	}
+	for i, j := 0, 0; i < len(v.items) || j < len(b); {
+		var d Descriptor
+		if j == len(b) || (i < len(v.items) && !b[j].before(&head)) {
+			d = head.Descriptor
+			if i++; i < len(v.items) {
+				head = ranked{Descriptor: v.items[i]}
+			}
+		} else {
+			d = b[j].Descriptor
+			j++
+		}
+		w, bit := &seen[uint64(d.ID)/64%uint64(len(seen))], uint64(1)<<(uint64(d.ID)%64)
+		if *w&bit != 0 && containsID(out, d.ID) {
+			continue
+		}
+		*w |= bit
 		out = append(out, d)
 		if len(out) == v.c {
 			break
 		}
 	}
-	v.items = out
+	v.items = append(v.items[:0], out...)
+}
+
+// containsID reports whether ds holds a descriptor for id.
+func containsID(ds []Descriptor, id sim.NodeID) bool {
+	for _, d := range ds {
+		if d.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // Remove deletes the descriptor for id, if present.

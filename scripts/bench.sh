@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs the engine-scale benchmark suite (million-node stack, apply-shard
-# scaling, hotspot sharding, live-node sampling) and records the parsed
-# results as JSON in the next unused BENCH_<n>.json, alongside the machine context needed
+# scaling, hotspot sharding, live-node sampling, one Newscast view merge)
+# and the whole workloads people run (the paper's Figure 1 cells, built-in
+# scenario campaigns and a sweep), and records the parsed results as JSON
+# in the next unused BENCH_<n>.json, alongside the machine context needed
 # to read the numbers honestly — CPU count and GOMAXPROCS lead the record
 # because worker speedups only show in wall-clock with real cores; on a
 # single-CPU host the record carries a machine-readable "warning" field
@@ -9,7 +11,8 @@
 # BENCH_7 the engine-scale benchmarks also report per-phase wall times
 # (propose-ns/op, apply-ns/op) from the engine's instrumentation
 # snapshot, so a scaling anomaly can be attributed to a phase instead of
-# guessed at.
+# guessed at. Every "<value> <unit>" pair a benchmark reports is recorded,
+# keyed by its unit ("ns/op" -> ns_per_op, "quality" -> quality).
 #
 # Overrides:
 #   ENGINE_BENCH_NODES  population for BenchmarkEngineMillion (default 1e6)
@@ -52,6 +55,11 @@ ENGINE_BENCH_NODES=$NODES go test . -run '^$' \
 go test ./internal/sim/ -run '^$' \
     -bench 'BenchmarkApplyShardsHotspot|BenchmarkRandomLiveNode' \
     -benchtime "$BENCHTIME" -benchmem -timeout 0 | tee -a "$tmp"
+go test ./internal/overlay/ -run '^$' -bench '^BenchmarkViewMerge$' \
+    -benchmem -timeout 0 | tee -a "$tmp"
+go test . -run '^$' \
+    -bench 'BenchmarkFigure1$|BenchmarkScenarioRun$|BenchmarkSweep$' \
+    -benchtime "$BENCHTIME" -benchmem -timeout 0 | tee -a "$tmp"
 
 {
     printf '{\n'
@@ -71,14 +79,12 @@ go test ./internal/sim/ -run '^$' \
             name = $1
             sub(/-[0-9]+$/, "", name)
             line = sprintf("    {\"name\":\"%s\",\"iterations\":%s", name, $2)
-            for (i = 3; i < NF; i++) {
+            for (i = 3; i < NF; i += 2) {
                 u = $(i + 1)
-                if (u == "ns/op")          line = line sprintf(",\"ns_per_op\":%s", $i)
-                else if (u == "node-cycles/s") line = line sprintf(",\"node_cycles_per_s\":%s", $i)
-                else if (u == "propose-ns/op") line = line sprintf(",\"propose_ns_per_op\":%s", $i)
-                else if (u == "apply-ns/op")   line = line sprintf(",\"apply_ns_per_op\":%s", $i)
-                else if (u == "B/op")      line = line sprintf(",\"bytes_per_op\":%s", $i)
-                else if (u == "allocs/op") line = line sprintf(",\"allocs_per_op\":%s", $i)
+                if (u == "B/op") u = "bytes/op"
+                gsub(/\//, "_per_", u)
+                gsub(/-/, "_", u)
+                line = line sprintf(",\"%s\":%s", u, $i)
             }
             lines[n++] = line "}"
         }

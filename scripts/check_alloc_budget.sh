@@ -2,8 +2,8 @@
 # Perf-regression smoke: runs the engine benchmarks at reduced scale and
 # compares them against the checked-in budget (scripts/alloc_budget.txt)
 # on two axes. allocs/op fails when any benchmark exceeds its budget by
-# more than 20% — the guard that keeps the hot path's recycling honest (a
-# reflection-based sort or an un-pooled payload shows up as a multiple,
+# more than 20% — the guard that keeps the hot path's recycling honest (an
+# allocating View.Merge or an un-pooled payload shows up as a multiple,
 # not a percentage); alloc *counts*, unlike wall-clock, are stable across
 # machines. node-cycles/s fails when throughput falls more than 20% below
 # the committed reference — references are set far enough below the
@@ -23,6 +23,8 @@ ENGINE_BENCH_NODES=$NODES go test . -run '^$' \
 go test ./internal/sim/ -run '^$' \
     -bench 'BenchmarkRandomLiveNode|BenchmarkApplyShardsHotspot' \
     -benchtime 100x -benchmem | tee -a "$tmp"
+go test ./internal/overlay/ -run '^$' -bench '^BenchmarkViewMerge$' \
+    -benchtime 10000x -benchmem | tee -a "$tmp"
 
 awk -v nodes="$NODES" '
     NR == FNR {
